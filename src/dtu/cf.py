@@ -117,8 +117,13 @@ def reverse(seq: Sequence[int]) -> Quotients:
 
 def weighted_sum(seq: Sequence[int], o: Orientation) -> int:
     """Sum of a_i weighted by the orientation's (1,2,...) or (2,1,...) pattern."""
-    seq = check_quotients(seq)
-    return sum(a * o.weight(i) for i, a in enumerate(seq, start=1))
+    return _weighted_sum(check_quotients(seq), o)
+
+
+def _weighted_sum(seq: Quotients, o: Orientation) -> int:
+    """weighted_sum of an already validated quotient tuple."""
+    odd, even = sum(seq[0::2]), sum(seq[1::2])
+    return odd + 2 * even if o is Orientation.PHI else 2 * odd + even
 
 
 def light_positions(n: int, o: Orientation) -> tuple[int, ...]:
@@ -141,6 +146,14 @@ class PeriodicCF:
     def __post_init__(self):
         object.__setattr__(self, "preperiod", check_quotients(self.preperiod))
         object.__setattr__(self, "period", check_quotients(self.period, allow_empty=False))
+
+    @classmethod
+    def _of_valid(cls, preperiod: Quotients, period: Quotients) -> "PeriodicCF":
+        """Build from quotient tuples that are already validated, unchecked."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "preperiod", preperiod)
+        object.__setattr__(x, "period", period)
+        return x
 
     def quotients(self) -> Iterator[int]:
         """The infinite quotient stream."""

@@ -7,6 +7,12 @@ Denjoy-Tichy-Uitz function at that point is decided by the exact comparison
 of lambda_A^2 against phi^(weighted sum of the period): larger means the
 derivative exists and is +infinity, smaller means 0, equality is the
 boundary case where neither regime applies.
+
+The comparison is one of integers.  For an even period the quotient matrix
+M has determinant +1 and trace T, so lambda_A^4 + lambda_A^-4 = tr(M^4) =
+(T^2-2)^2 - 2, while phi^2S + phi^-2S is the Lucas number L_2S = L_S^2 -
+2(-1)^S.  As x -> x + 1/x increases for x > 1, lambda_A^2 - phi^S has the
+sign of tr(M^4) - L_2S.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import cf
 from .cf import Orientation, PeriodicCF, Quotients
@@ -35,6 +40,7 @@ class GrowthRate:
 
     value: QuadraticSurd
     period_length: int
+    trace: int  # trace of the (doubled if odd) period's quotient matrix
 
 
 def growth_rate(period) -> GrowthRate:
@@ -45,27 +51,34 @@ def growth_rate(period) -> GrowthRate:
     z^2 - T z + det = 0 for the period's quotient matrix (T = <A> + <A_-^->,
     det = +1 after doubling); the identity is asserted on every call.
     """
-    period = cf.check_quotients(period, allow_empty=False)
+    period = tuple(period)
     if len(period) % 2 == 1:
         period = period + period
-    (m00, m01), (m10, m11) = cf.quotient_matrix(period)
-    tail = cf.periodic_value(PeriodicCF((), period))
+    (m00, m01), (m10, m11) = cf.quotient_matrix(period)  # validates the period
+    tail = cf.periodic_value(PeriodicCF._of_valid((), period))
     value = QuadraticSurd.from_fraction(m00) + tail * m01
     trace = m00 + m11
     dominant = QuadraticSurd(trace, 1, 2, trace * trace - 4)
     if not value.algebraically_equal(dominant):
         raise AssertionError("growth rate disagrees with the dominant eigenvalue")
-    return GrowthRate(value, len(period))
+    return GrowthRate(value, len(period), trace)
 
 
 @dataclass(frozen=True)
 class VerdictCertificate:
-    """Exact sign certificate for lambda_A^2 versus phi^S."""
+    """Exact sign certificate for lambda_A^2 versus phi^S.
+
+    `sign` is the sign of (trace^2 - 2)^2 - 2 - (lucas^2 - 2(-1)^S), with
+    `trace` the period matrix's trace and `lucas` = L_S = 2a + b for
+    phi^S = a + b phi.
+    """
 
     lambda_squared: QuadraticSurd
     exponent: int
     phi_power: GoldenScalar
     sign: int
+    trace: int
+    lucas: int
 
 
 @dataclass(frozen=True)
@@ -96,19 +109,22 @@ def classify_verdict(x: PeriodicCF, o: Orientation = Orientation.PHI) -> Verdict
     densities are tail invariants); it is accepted and ignored.
     """
     period = _even_period(x)
-    s = cf.weighted_sum(period, o)
+    s = cf._weighted_sum(period, o)
     rate = growth_rate(period)
-    lam_sq = rate.value * rate.value
     phi_s = GoldenScalar.phi_power(s)
-    sign = compare_values(lam_sq, phi_s)
+    lucas = int(2 * phi_s.a + phi_s.b)
+    tr_m2 = rate.trace * rate.trace - 2
+    sign = compare_values(tr_m2 * tr_m2 - 2,  # tr(M^4)
+                          lucas * lucas - (2 if s % 2 == 0 else -2))  # L_2S
     if sign > 0:
         cls = Classification.DERIV_INFINITY
     elif sign < 0:
         cls = Classification.DERIV_ZERO
     else:
         cls = Classification.BOUNDARY
-    return Verdict(cls, kappa(period, o), rate,
-                   VerdictCertificate(lam_sq, s, phi_s, sign))
+    return Verdict(cls, Fraction(2 * s, len(period)), rate,
+                   VerdictCertificate(rate.value * rate.value, s, phi_s, sign,
+                                      rate.trace, lucas))
 
 
 def classify(x: PeriodicCF, o: Orientation = Orientation.PHI) -> Classification:
@@ -139,7 +155,7 @@ def envelope(prefix, o: Orientation, side: EnvelopeSide,
     """
     prefix = cf.check_quotients(prefix, allow_empty=False)
     q_t = cf.continuant(prefix)
-    s = cf.weighted_sum(prefix, o)
+    s = cf._weighted_sum(prefix, o)
     if side is EnvelopeSide.LOWER:
         offset = 7 if o is Orientation.PHI else 9
         numerator = q_t * cf.continuant(prefix[:-1])
@@ -194,9 +210,7 @@ def c734_word(p: int, q: int) -> Quotients:
     return tuple(word)
 
 
-def kappa2_bracket(eps: Fraction,
-                   classifier: Optional[Callable[[PeriodicCF], Classification]] = None
-                   ) -> KappaBracket:
+def kappa2_bracket(eps: Fraction) -> KappaBracket:
     """Certified enclosure of the upper threshold constant kappa2.
 
     Bisection by Stern-Brocot descent on the (7,4)-block density d in [0,1]
@@ -209,7 +223,6 @@ def kappa2_bracket(eps: Fraction,
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    do_classify = classifier if classifier is not None else classify
 
     cache: dict[tuple[int, int], Classification] = {}
     trace: list[BracketStep] = []
@@ -217,11 +230,10 @@ def kappa2_bracket(eps: Fraction,
     def verdict(p: int, q: int) -> Classification:
         key = (p, q)
         if key not in cache:
-            word = c734_word(p, q)
-            cls = do_classify(PeriodicCF((), word))
-            cache[key] = cls
+            v = classify_verdict(PeriodicCF((), c734_word(p, q)))
+            cache[key] = v.classification
             trace.append(BracketStep(len(trace) + 1, Fraction(p, q),
-                                     2 * q, kappa(word, Orientation.PHI), cls))
+                                     2 * q, v.kappa, v.classification))
         return cache[key]
 
     # family anchors, classified during initialization (not bisection steps)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 from .extremal import DEFAULT_BRUTE_CAP
 from .geval import DEFAULT_FAREY_DEPTH_CAP
@@ -15,7 +14,7 @@ ENV_PREFIX = "DTU_"
 
 @dataclass
 class RunConfig:
-    """Caps and output settings shared by the CLI commands.
+    """Caps shared by the CLI commands.
 
     Environment overrides: DTU_PRECISION_BITS_CAP, DTU_BRUTE_CAP,
     DTU_FAREY_DEPTH_CAP.
@@ -24,15 +23,11 @@ class RunConfig:
     precision_bits_cap: int = DEFAULT_PRECISION_BITS_CAP
     brute_cap: int = DEFAULT_BRUTE_CAP
     farey_depth_cap: int = DEFAULT_FAREY_DEPTH_CAP
-    output_path: Optional[str] = None
-    format: str = "text"
 
     def __post_init__(self):
         for name in ("precision_bits_cap", "brute_cap", "farey_depth_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.format not in ("text", "json", "csv"):
-            raise ValueError(f"unknown output format {self.format!r}")
 
     @classmethod
     def from_env(cls, environ=None, **overrides) -> "RunConfig":

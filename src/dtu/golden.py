@@ -9,6 +9,17 @@ from typing import Union
 RationalLike = Union[int, Fraction]
 
 
+def _fibonacci_pair(n: int) -> tuple[int, int]:
+    """(F(n), F(n+1)) for n >= 0 by fast doubling:
+    F(2m) = F(m) (2 F(m+1) - F(m)) and F(2m+1) = F(m)^2 + F(m+1)^2."""
+    f, g = 0, 1
+    for bit in bin(n)[2:]:
+        f, g = f * (2 * g - f), f * f + g * g
+        if bit == "1":
+            f, g = g, f + g
+    return f, g
+
+
 class GoldenScalar:
     """An exact element a + b*phi of Q(sqrt5), with a, b rational.
 
@@ -29,22 +40,17 @@ class GoldenScalar:
 
     @classmethod
     def phi_power(cls, k: int) -> "GoldenScalar":
-        """phi**k for any integer k.
+        """phi**k for any integer k, in O(log |k|) integer products.
 
-        Nonnegative powers use phi^2 = phi + 1 ascending; negative powers
-        use the descending recurrence phi^-(k+1) = phi^-(k-1) - phi^-k.
+        With Fibonacci numbers F, phi^k = F(k-1) + F(k) phi and
+        phi^-k = (-1)^k (F(k+1) - F(k) phi).
         """
+        f, g = _fibonacci_pair(abs(k))  # F(|k|), F(|k|+1)
         if k >= 0:
-            a, b = 1, 0  # phi^0
-            for _ in range(k):
-                a, b = b, a + b  # multiply by phi
-            return cls(a, b)
-        # descending from phi^0 = 1, phi^-1 = -1 + phi
-        pa, pb = 1, 0
-        ca, cb = -1, 1
-        for _ in range(-k - 1):
-            pa, pb, ca, cb = ca, cb, pa - ca, pb - cb
-        return cls(ca, cb)
+            return cls(g - f, f)
+        if k % 2 == 0:
+            return cls(g, -f)
+        return cls(-g, f)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -288,6 +288,8 @@ Comparable = Union[QuadraticSurd, GoldenScalar, Fraction, int]
 def compare_values(u: Comparable, v: Comparable,
                    precision_cap: Optional[int] = None) -> int:
     """Exact three-way comparison across surds, golden scalars and rationals."""
+    if isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction)):
+        return (u > v) - (u < v)  # two rationals need no interval refinement
     if not isinstance(u, QuadraticSurd):
         if isinstance(u, GoldenScalar):
             u = QuadraticSurd.from_golden(u)

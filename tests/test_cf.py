@@ -135,6 +135,9 @@ def test_weighted_sums():
         n = rng.randint(1, 12)
         seq = tuple(rng.randint(1, 9) for _ in range(n))
         total = sum(seq)
+        for o in Orientation:
+            assert cf.weighted_sum(seq, o) == \
+                sum(a * o.weight(i) for i, a in enumerate(seq, start=1))
         assert (cf.weighted_sum(seq, Orientation.PHI)
                 + cf.weighted_sum(seq, Orientation.TAU)) == 3 * total
         if n % 2 == 0:

@@ -11,7 +11,7 @@ from dtu.classify import (BracketStep, Classification, EnvelopeSide,
                           c734_word, classify, classify_verdict, envelope,
                           growth_rate, kappa, kappa2_bracket)
 from dtu.golden import GoldenScalar
-from dtu.surd import QuadraticSurd
+from dtu.surd import QuadraticSurd, compare_values
 
 P = lambda *seq: PeriodicCF((), tuple(seq))
 
@@ -24,6 +24,9 @@ def test_growth_rates():
     r = growth_rate((3,))
     assert r.period_length == 2
     assert r.value == growth_rate((3, 3)).value
+    # trace of the period matrix: [[29, 7], [4, 1]] and [[10, 3], [3, 1]]
+    assert growth_rate((7, 4)).trace == 30
+    assert r.trace == 11
     with pytest.raises(ValueError):
         growth_rate(())
 
@@ -61,10 +64,59 @@ def test_certificate_is_exact_and_consistent():
     assert v.certificate.sign == 1
     assert v.certificate.exponent == 13
     assert v.certificate.lambda_squared > v.certificate.phi_power
+    # phi^13 = 144 + 233 phi, so L_13 = 521; tr(M^4) = 527^2 - 2 > L_26 = 521^2 + 2
+    assert v.certificate.phi_power == GoldenScalar(144, 233)
+    assert (v.certificate.trace, v.certificate.lucas) == (23, 521)
     v = classify_verdict(P(7, 4))
     assert v.certificate.sign == -1
     assert v.certificate.lambda_squared < v.certificate.phi_power
     assert v.kappa == 15
+
+
+BOUNDARY_CASES = [((4, 4), Orientation.PHI), ((4, 4), Orientation.TAU),
+                  ((8, 2), Orientation.PHI), ((1, 3, 1, 2), Orientation.PHI),
+                  ((2, 8), Orientation.TAU)]
+
+
+def test_boundary_verdicts_pinned():
+    # lambda_A^2 = phi^S exactly: S is even and tr(M^2) = T^2 - 2 = L_S
+    for period, o in BOUNDARY_CASES:
+        v = classify_verdict(P(*period), o)
+        cert = v.certificate
+        assert v.classification is Classification.BOUNDARY, (period, o)
+        assert classify(P(*period), o) is Classification.BOUNDARY
+        assert cert.sign == 0 and cert.exponent % 2 == 0
+        assert cert.trace ** 2 - 2 == cert.lucas
+        assert cert.lambda_squared.algebraically_equal(
+            QuadraticSurd.from_golden(cert.phi_power))
+    # (4,4): T = 18, S = 12, L_12 = 322 = 18^2 - 2, lambda^2 = phi^12
+    cert = classify_verdict(P(4, 4)).certificate
+    assert (cert.trace, cert.exponent, cert.lucas) == (18, 12, 322)
+
+
+def _interval_sign(period, o) -> int:
+    """The interval-refinement verdict: lambda_A^2 against phi^S as surds."""
+    lam = growth_rate(period).value
+    return compare_values(lam * lam,
+                          GoldenScalar.phi_power(cf.weighted_sum(period, o)))
+
+
+def test_integer_verdict_matches_interval_oracle():
+    rng = random.Random(101)
+    periods = [tuple(rng.randint(1, 12) for _ in range(2 * rng.randint(1, 8)))
+               for _ in range(300)]
+    periods += [period for period, _ in BOUNDARY_CASES]
+    for period in periods:
+        for o in Orientation:
+            cert = classify_verdict(P(*period), o).certificate
+            assert cert.sign == _interval_sign(period, o), (period, o)
+    steps = kappa2_bracket(Fraction(1, 500)).trace
+    assert len(steps) == 12
+    for step in steps:
+        word = c734_word(step.density.numerator, step.density.denominator)
+        v = classify_verdict(P(*word))
+        assert v.classification is step.classification
+        assert v.certificate.sign == _interval_sign(word, Orientation.PHI)
 
 
 def test_kappa():
@@ -219,8 +271,7 @@ def test_f_monotonicity_at_n8():
 
 
 def test_boundary_verdict_reachable_in_principle():
-    # no quadratic family word is known to sit exactly on the threshold, but
-    # the comparison machinery must report equality exactly when it holds
+    # the interval path must report equality exactly when it holds
     lam = growth_rate((1, 1)).value  # phi^2
     sq = lam * lam
     assert sq.algebraically_equal(QuadraticSurd.from_golden(GoldenScalar.phi_power(4)))

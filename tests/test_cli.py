@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,10 @@ from dtu.cli import main
 from dtu.encode import parse_fraction, parse_golden, parse_seq, parse_surd
 from dtu.geval import LambdaKind, g_mediant
 from dtu.verify import report_markdown, verify_suite
+
+
+# byte-exact CLI outputs recorded before verdicts were decided in integers
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -69,6 +74,17 @@ def test_classify_json(capsys):
     assert json.loads(out)["classification"] == "DerivInfinity"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--period", "7,4"], "classify_7_4.json"),
+    (["--period", "4,4"], "classify_4_4.json"),
+    (["--period", "1,3,1,2", "--orientation", "tau"], "classify_1_3_1_2_tau.json"),
+])
+def test_classify_output_is_pinned(capsys, argv, expected):
+    code, out, _ = run(capsys, "classify", *argv)
+    assert code == 0
+    assert out == (GOLDEN / expected).read_text()
+
+
 def test_extremal_modes(capsys):
     code, out, _ = run(capsys, "extremal", "--n", "4", "--s", "16",
                        "--mode", "brute")
@@ -99,6 +115,8 @@ def test_kappa2_command(tmp_path, capsys):
     assert len(steps) == payload["steps"] <= 12
     assert {"step", "density", "period_length", "kappa",
             "classification"} <= set(steps[0])
+    assert out == (GOLDEN / "kappa2.json").read_text()
+    assert trace_path.read_text() == (GOLDEN / "kappa2_trace.json").read_text()
 
 
 def test_exit_codes(capsys):

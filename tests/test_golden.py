@@ -27,6 +27,21 @@ def test_phi_powers_ascending_and_descending():
     assert GoldenScalar.phi_power(-5) == GoldenScalar(-8, 5)
     for k in range(-12, 13):
         assert GoldenScalar.phi_power(k) * GoldenScalar.phi_power(-k) == GOLDEN_ONE
+    # the linear recurrences: phi^(k+1) = phi^k + phi^(k-1) upward and
+    # phi^(k-1) = phi^(k+1) - phi^k downward
+    up = [(1, 0), (0, 1)]
+    down = [(1, 0), (-1, 1)]
+    for _ in range(299):
+        up.append((up[-1][0] + up[-2][0], up[-1][1] + up[-2][1]))
+        down.append((down[-2][0] - down[-1][0], down[-2][1] - down[-1][1]))
+    for k in range(301):
+        assert GoldenScalar.phi_power(k) == GoldenScalar(*up[k])
+        assert GoldenScalar.phi_power(-k) == GoldenScalar(*down[k])
+    # exponent laws far beyond the recurrence range
+    for m, n in ((100_003, 99_989), (-100_003, 99_991), (100_000, -100_000),
+                 (-99_998, -100_001), (1, 99_999)):
+        product = GoldenScalar.phi_power(m) * GoldenScalar.phi_power(n)
+        assert product == GoldenScalar.phi_power(m + n)
 
 
 def test_phi_power_matches_repeated_multiplication():

@@ -70,6 +70,14 @@ def test_golden_promotion():
     assert compare_values(s, g) == 0
 
 
+def test_compare_values_on_rationals():
+    assert compare_values(Fraction(1, 3), Fraction(2, 6)) == 0
+    assert compare_values(-5, Fraction(-9, 2)) == -1
+    big = 10 ** 5000
+    assert compare_values(big + 1, big) == 1
+    assert compare_values(big, big + Fraction(1, big)) == -1
+
+
 def test_comparison_against_random_decimal_oracle():
     rng = random.Random(99)
     digits = 60
