@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import cf, surd
+from . import cf
 from .cf import Orientation, PeriodicCF
 from .classify import classify_verdict, kappa2_bracket
 from .config import RunConfig
@@ -237,7 +237,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    surd.set_default_precision_cap(config.precision_bits_cap)
     try:
         return args.func(args, config)
     except (InfeasibleError, CapExceededError) as exc:

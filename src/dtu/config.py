@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from .extremal import DEFAULT_BRUTE_CAP
 from .geval import DEFAULT_FAREY_DEPTH_CAP
-from .surd import DEFAULT_PRECISION_BITS_CAP
 
 ENV_PREFIX = "DTU_"
 
@@ -16,16 +15,14 @@ ENV_PREFIX = "DTU_"
 class RunConfig:
     """Caps shared by the CLI commands.
 
-    Environment overrides: DTU_PRECISION_BITS_CAP, DTU_BRUTE_CAP,
-    DTU_FAREY_DEPTH_CAP.
+    Environment overrides: DTU_BRUTE_CAP, DTU_FAREY_DEPTH_CAP.
     """
 
-    precision_bits_cap: int = DEFAULT_PRECISION_BITS_CAP
     brute_cap: int = DEFAULT_BRUTE_CAP
     farey_depth_cap: int = DEFAULT_FAREY_DEPTH_CAP
 
     def __post_init__(self):
-        for name in ("precision_bits_cap", "brute_cap", "farey_depth_cap"):
+        for name in ("brute_cap", "farey_depth_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -33,8 +30,7 @@ class RunConfig:
     def from_env(cls, environ=None, **overrides) -> "RunConfig":
         environ = os.environ if environ is None else environ
         values = {}
-        for field, env in (("precision_bits_cap", "PRECISION_BITS_CAP"),
-                           ("brute_cap", "BRUTE_CAP"),
+        for field, env in (("brute_cap", "BRUTE_CAP"),
                            ("farey_depth_cap", "FAREY_DEPTH_CAP")):
             raw = environ.get(ENV_PREFIX + env)
             if raw is not None:

@@ -1,8 +1,8 @@
 """Minimization and maximization of continuants at fixed length and weighted sum.
 
 M(n, S) is the set of quotient sequences of even length n whose weighted sum
-(per the chosen orientation) equals S.  The module provides an exhaustive
-enumeration oracle, a direct near-minimal construction, window-narrowing
+(per the chosen orientation) equals S.  The module provides exact extrema by
+a Pareto-frontier DP, a direct near-minimal construction, window-narrowing
 normalization by unit variations, reduction to three-value words by certified
 (1,2)-variations, and the balanced-block construction of near-maximal words.
 """
@@ -13,8 +13,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import cf
 from .cf import Orientation, Quotients
@@ -29,7 +27,7 @@ class InfeasibleError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """The enumeration space exceeds the configured cap."""
+    """The word count |M(n, S)| exceeds the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -92,135 +90,72 @@ class Extrema:
     count: int
 
 
+def _pairs(cost: int, w1: int, w2: int) -> list:
+    """All pairs (p1, p2) with w1*p1 + w2*p2 == cost, in position order."""
+    return [(p1, (cost - w1 * p1) // w2) for p1 in range(1, (cost - w2) // w1 + 1)
+            if (cost - w1 * p1) % w2 == 0]
+
+
+def _pareto(states: list) -> list:
+    """The states not weakly dominated by another, best first: after an
+    ascending sort, a state survives only if its second entry is smaller than
+    that of every state kept before it."""
+    states.sort()
+    keep = [states[0]]
+    for t in states:
+        if t[1] < keep[-1][1]:
+            keep.append(t)
+    return keep
+
+
+def _extreme(m: int, s: int, phi: bool, sign: int) -> tuple[int, Quotients]:
+    """Smallest (sign = 1) or largest (sign = -1) continuant over M(2m, S)
+    with its lexicographically smallest word, by a Pareto-frontier DP.
+
+    A pair (p1, p2) maps the prefix row vector (r0, r1) to
+    (r0(p1p2+1) + r1p2, r0p1 + r1), starting from (1, 0); the finished word's
+    continuant is r0.  Any completion adds r0 and r1 with coefficients >= 1,
+    so at the same level and budget a weakly worse vector never wins, and of
+    two equal vectors the lexicographically larger prefix never wins the tie.
+    States hold sign*(r0, r1) and the prefix, so one ascending sort and one
+    sweep leave that frontier.
+    """
+    w1, w2 = (1, 2) if phi else (2, 1)
+    frontier = {s: [(sign, 0, ())]}  # remaining budget -> states
+    for left in range(m - 1, 0, -1):  # pairs still to place after this one
+        grown: dict = {}
+        for budget, states in frontier.items():
+            for cost in range(3, budget - 3 * left + 1):
+                out = grown.setdefault(budget - cost, [])
+                for p1, p2 in _pairs(cost, w1, w2):
+                    out.extend((r0 * (p1 * p2 + 1) + r1 * p2, r0 * p1 + r1,
+                                prefix + (p1, p2)) for r0, r1, prefix in states)
+        frontier = {budget: _pareto(states) for budget, states in grown.items()}
+    # the last pair spends the remaining budget exactly
+    value, prefix, p1, p2 = min((r0 * (p1 * p2 + 1) + r1 * p2, prefix, p1, p2)
+                                for budget, states in frontier.items()
+                                for p1, p2 in _pairs(budget, w1, w2)
+                                for r0, r1, prefix in states)
+    return sign * value, prefix + (p1, p2)
+
+
 def brute_extrema(inst: ExtremalInstance, cap: int = DEFAULT_BRUTE_CAP) -> Extrema:
-    """Exhaustive minimum and maximum continuant over M(n, S).
+    """Exact minimum and maximum continuant over M(n, S).
 
     Ties break to the lexicographically smallest sequence.  Raises
-    CapExceededError when the enumeration space exceeds `cap`; the count is
-    established by dynamic programming before any enumeration.  Prefixes are
-    enumerated in Python; the final two pairs are evaluated through cached
-    vectorized tables (with an exact big-integer fallback when the values
-    could leave the int64 range).
+    CapExceededError when |M(n, S)| exceeds `cap`; the count is established
+    by dynamic programming before any search.  The search is a plain-integer
+    Pareto-frontier DP over prefix row vectors, which visits at most
+    |M(n, S)| states per level.
     """
-    if inst.n > 12:
-        raise ValueError("exhaustive search is limited to n <= 12")
     _require_feasible(inst)
     total = count_words(inst)
     if total > cap:
         raise CapExceededError(f"{total} words exceed the cap of {cap}")
-
     phi = inst.orientation is Orientation.PHI
-    m, s = inst.pairs, inst.s
-    best: list = [None, None]  # [(min_value, min_seq), (max_value, max_seq)]
-
-    def consider(value: int, seq: Quotients):
-        cur_min, cur_max = best
-        if cur_min is None or value < cur_min[0] or (value == cur_min[0]
-                                                     and seq < cur_min[1]):
-            best[0] = (value, seq)
-        if cur_max is None or value > cur_max[0] or (value == cur_max[0]
-                                                     and seq < cur_max[1]):
-            best[1] = (value, seq)
-
-    pair_cache: dict = {}
-
-    def pair_arrays(cost: int):
-        """Position-ordered (pos1, pos2) arrays of all pairs of given cost."""
-        hit = pair_cache.get(cost)
-        if hit is None:
-            v = np.arange(1, (cost - 1) // 2 + 1, dtype=np.int64)
-            other = np.int64(cost) - 2 * v
-            hit = (other, v) if phi else (v, other)
-            pair_cache[cost] = hit
-        return hit
-
-    table_cache: dict = {}
-
-    def two_pair_table(budget: int):
-        """All two-pair words of weighted sum `budget`: position arrays
-        P1..P4 plus the first column (X00, X10) of their matrix product."""
-        hit = table_cache.get(budget)
-        if hit is None:
-            parts = []
-            for c1 in range(3, budget - 2):
-                a1, a2 = pair_arrays(c1)
-                b1, b2 = pair_arrays(budget - c1)
-                if not len(a1) or not len(b1):
-                    continue
-                la, lb = len(a1), len(b1)
-                A1, A2 = np.repeat(a1, lb), np.repeat(a2, lb)
-                B1, B2 = np.tile(b1, la), np.tile(b2, la)
-                b00 = B1 * B2 + 1
-                x00 = (A1 * A2 + 1) * b00 + A1 * B2
-                x10 = A2 * b00 + B2
-                parts.append((A1, A2, B1, B2, x00, x10))
-            if parts:
-                hit = tuple(np.concatenate([p[i] for p in parts])
-                            for i in range(6))
-            else:
-                hit = tuple(np.empty(0, dtype=np.int64) for _ in range(6))
-            table_cache[budget] = hit
-        return hit
-
-    def pick(quads, values, idx_ties):
-        """Lexicographically smallest quadruple among tie indices."""
-        p1, p2, p3, p4 = quads
-        order = np.lexsort((p4[idx_ties], p3[idx_ties],
-                            p2[idx_ties], p1[idx_ties]))
-        i = int(idx_ties[order[0]])
-        return (int(p1[i]), int(p2[i]), int(p3[i]), int(p4[i])), int(values[i])
-
-    def leaf_two(budget: int, r0: int, r1: int, prefix: tuple):
-        p1, p2, p3, p4, x00, x10 = two_pair_table(budget)
-        if not len(x00):
-            return
-        bound = r0 * int(x00.max()) + r1 * int(x10.max())
-        if bound < (1 << 62):
-            values = np.int64(r0) * x00 + np.int64(r1) * x10
-            lo_v = int(values.min())
-            hi_v = int(values.max())
-            quad_lo, _ = pick((p1, p2, p3, p4), values,
-                              np.flatnonzero(values == lo_v))
-            quad_hi, _ = pick((p1, p2, p3, p4), values,
-                              np.flatnonzero(values == hi_v))
-            consider(lo_v, prefix + quad_lo)
-            consider(hi_v, prefix + quad_hi)
-        else:
-            for i in range(len(x00)):
-                value = r0 * int(x00[i]) + r1 * int(x10[i])
-                consider(value, prefix + (int(p1[i]), int(p2[i]),
-                                          int(p3[i]), int(p4[i])))
-
-    def leaf_one(budget: int, r0: int, r1: int, prefix: tuple):
-        pos1, pos2 = pair_arrays(budget)
-        for i in range(len(pos1)):
-            a, b = int(pos1[i]), int(pos2[i])
-            consider(r0 * (a * b + 1) + r1 * b, prefix + (a, b))
-
-    last_levels = 2 if m >= 2 else 1
-    leaf = leaf_two if m >= 2 else leaf_one
-
-    def rec(level: int, budget: int, r0: int, r1: int, prefix: tuple):
-        if level == m - last_levels:
-            leaf(budget, r0, r1, prefix)
-            return
-        rest = 3 * (m - 1 - level)
-        # iterate the pair in position order for lexicographic enumeration
-        w1, w2 = (1, 2) if phi else (2, 1)
-        p1 = 1
-        while w1 * p1 + w2 + rest <= budget:
-            p2 = 1
-            while w1 * p1 + w2 * p2 + rest <= budget:
-                n0 = r0 * (p1 * p2 + 1) + r1 * p2
-                n1 = r0 * p1 + r1
-                rec(level + 1, budget - w1 * p1 - w2 * p2, n0, n1,
-                    prefix + (p1, p2))
-                p2 += 1
-            p1 += 1
-
-    rec(0, s, 1, 0, ())
-    (min_v, min_seq), (max_v, max_seq) = best
-    return Extrema(min_seq, min_v, max_seq, max_v, total)
+    min_value, min_seq = _extreme(inst.pairs, inst.s, phi, 1)
+    max_value, max_seq = _extreme(inst.pairs, inst.s, phi, -1)
+    return Extrema(min_seq, min_value, max_seq, max_value, total)
 
 
 # -- direct near-minimum -------------------------------------------------------

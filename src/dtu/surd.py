@@ -10,22 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional, Union
+from typing import Union
 
 from .golden import GoldenScalar
-
-DEFAULT_PRECISION_BITS_CAP = 4096
-_precision_cap = DEFAULT_PRECISION_BITS_CAP
-
-
-def set_default_precision_cap(bits: int):
-    """Process-wide default for the interval precision reached before the
-    algebraic equality fallback kicks in; correctness never depends on it."""
-    global _precision_cap
-    if bits <= 0:
-        raise ValueError("precision cap must be positive")
-    _precision_cap = bits
-
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -218,15 +205,17 @@ class QuadraticSurd:
         a, b, _ = merged
         return (a.p * b.r == b.p * a.r) and (a.q * b.r == b.q * a.r)
 
-    def compare(self, other, precision_cap: Optional[int] = None) -> int:
-        """Exact three-way comparison; returns -1, 0 or 1."""
+    def compare(self, other) -> int:
+        """Exact three-way comparison; returns -1, 0 or 1.
+
+        Equality is tested algebraically the first time the 64-bit
+        enclosures overlap; unequal values then separate as the precision
+        doubles.
+        """
         other = self._coerce(other)
         if other is None:
             raise TypeError("cannot compare QuadraticSurd with that type")
-        if precision_cap is None:
-            precision_cap = _precision_cap
         bits = 64
-        checked_equal = False
         while True:
             alo, ahi = self.bounds(bits)
             blo, bhi = other.bounds(bits)
@@ -234,10 +223,8 @@ class QuadraticSurd:
                 return -1
             if bhi < alo:
                 return 1
-            if not checked_equal and bits >= precision_cap:
-                if self.algebraically_equal(other):
-                    return 0
-                checked_equal = True  # separation is now guaranteed eventually
+            if bits == 64 and self.algebraically_equal(other):
+                return 0
             bits *= 2
 
     def _cmp(self, other):
@@ -285,8 +272,7 @@ class QuadraticSurd:
 Comparable = Union[QuadraticSurd, GoldenScalar, Fraction, int]
 
 
-def compare_values(u: Comparable, v: Comparable,
-                   precision_cap: Optional[int] = None) -> int:
+def compare_values(u: Comparable, v: Comparable) -> int:
     """Exact three-way comparison across surds, golden scalars and rationals."""
     if isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction)):
         return (u > v) - (u < v)  # two rationals need no interval refinement
@@ -295,4 +281,4 @@ def compare_values(u: Comparable, v: Comparable,
             u = QuadraticSurd.from_golden(u)
         else:
             u = QuadraticSurd.from_fraction(u)
-    return u.compare(v, precision_cap=precision_cap)
+    return u.compare(v)

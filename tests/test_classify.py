@@ -257,8 +257,8 @@ def test_kappa2_verdict_monotone_along_trace():
 
 def test_f_monotonicity_at_n8():
     # brute max^2 / phi^S strictly decreases as S grows across per-pair sums
-    # 13..15 at n = 8 (exhaustive enumeration; the largest instances need a
-    # raised cap)
+    # 13..15 at n = 8 (exact extrema over all of M(8, S); the largest
+    # instances have more words than the default cap)
     from dtu.extremal import ExtremalInstance, brute_extrema
 
     maxima = {}

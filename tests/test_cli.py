@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import dtu
 from dtu.cli import main
 from dtu.encode import parse_fraction, parse_golden, parse_seq, parse_surd
 from dtu.geval import LambdaKind, g_mediant
@@ -164,6 +168,15 @@ def test_env_cap_override(capsys, monkeypatch):
     code, _, err = run(capsys, "extremal", "--n", "4", "--s", "16",
                        "--mode", "brute")
     assert code == 2
+
+
+def test_cli_import_leaves_numpy_out():
+    # every CLI call pays its imports; numpy is a test dependency only
+    src = str(Path(dtu.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c",
+                    "import dtu.cli, sys; assert 'numpy' not in sys.modules"],
+                   check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_verify_command_and_fault_injection(tmp_path, capsys):

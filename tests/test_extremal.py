@@ -16,12 +16,26 @@ from dtu.extremal import (CapExceededError, ExtremalInstance, InfeasibleError,
 PHI, TAU = Orientation.PHI, Orientation.TAU
 
 
+def words_of(n, s, o):
+    """Every word of M(n, S), built pair by pair: a pair may take any cost
+    that leaves at least 3 for each pair after it.  Nothing is pruned."""
+    if n == 0:
+        if s == 0:
+            yield ()
+        return
+    w1, w2 = o.weight(1), o.weight(2)
+    for p1 in range(1, s):
+        for p2 in range(1, s):
+            left = s - w1 * p1 - w2 * p2
+            if left < 3 * (n // 2 - 1):
+                break
+            for tail in words_of(n - 2, left, o):
+                yield (p1, p2) + tail
+
+
 def naive_extrema(n, s, o):
     best = worst = None
-    weights = [o.weight(i) for i in range(1, n + 1)]
-    for word in itertools.product(range(1, s), repeat=n):
-        if sum(a * w for a, w in zip(word, weights)) != s:
-            continue
+    for word in words_of(n, s, o):
         v = cf.continuant(word)
         if best is None or v < best[0] or (v == best[0] and word < best[1]):
             best = (v, word)
@@ -57,6 +71,13 @@ def test_brute_matches_naive_enumeration():
     cases = [(2, s, o) for s in range(3, 14) for o in (PHI, TAU)]
     cases += [(4, rng.randint(6, 17), rng.choice((PHI, TAU))) for _ in range(8)]
     cases += [(6, 11, PHI), (6, 13, TAU)]
+    # 10,032 and 94,523 words
+    cases += [(8, s, o) for s in (25, 32) for o in (PHI, TAU)]
+    # ties at the last pair (14 and 344 words), and frontiers that need
+    # more than two (4,488 words) or three (109,252 words) states
+    cases += [(8, 14, PHI), (8, 18, PHI), (8, 23, TAU), (10, 30, TAU)]
+    # beyond the old n <= 12 limit, just above the all-ones floor of 21
+    cases += [(14, 24, TAU)]
     for n, s, o in cases:
         (bv, bs), (wv, ws) = naive_extrema(n, s, o)
         e = brute_extrema(ExtremalInstance(n, s, o))

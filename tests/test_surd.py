@@ -40,6 +40,21 @@ def test_ordering_examples():
     lam = QuadraticSurd(15, 4, 1, 14)
     assert compare_values(lam * lam, GoldenScalar.phi_power(15)) == -1
     assert compare_values(lam * lam, GoldenScalar.phi_power(14)) == 1
+    # unequal values whose 64-bit enclosures overlap separate by refinement
+    root2 = QuadraticSurd(0, 1, 1, 2)
+    nudged = root2 + Fraction(1, 2 ** 200)
+    lo, hi = root2.bounds(64)
+    nlo, nhi = nudged.bounds(64)
+    assert max(lo, nlo) <= min(hi, nhi)
+    assert root2.compare(nudged) == -1 and nudged.compare(root2) == 1
+    assert compare_values(root2, nudged) == -1 and compare_values(nudged, root2) == 1
+    # one value in two representations: 101^2 escapes the small-prime
+    # square extraction, so the radicands differ
+    wide = QuadraticSurd(3, 1, 2, 5 * 101 ** 2)
+    narrow = QuadraticSurd(3, 101, 2, 5)
+    assert (wide.d, narrow.d) == (5 * 101 ** 2, 5)
+    assert wide.compare(narrow) == 0 and narrow.compare(wide) == 0
+    assert compare_values(wide, narrow) == 0
 
 
 def test_cross_field_equality_via_square_merge():
