@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import cf
 from .cf import Orientation, PeriodicCF, Quotients
-from .geval import CertifiedInterval
+from .geval import CertifiedInterval, _golden_enclosure
 from .golden import GoldenScalar
 from .surd import QuadraticSurd, compare_values
 
@@ -164,12 +164,7 @@ def envelope(prefix, o: Orientation, side: EnvelopeSide,
         numerator = q_t * q_t
         exponent = s - 5
     exact = GoldenScalar.phi_power(-exponent) * numerator
-    bits = 64
-    while True:
-        lo, hi = exact.bounds(bits)
-        if hi - lo <= width:
-            return EnvelopeBound(exact, CertifiedInterval(lo, hi))
-        bits *= 2
+    return EnvelopeBound(exact, CertifiedInterval(*_golden_enclosure(exact, width)))
 
 
 # -- kappa2 bracketing ----------------------------------------------------------
@@ -224,17 +219,14 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
     if eps <= 0:
         raise ValueError("eps must be positive")
 
-    cache: dict[tuple[int, int], Classification] = {}
     trace: list[BracketStep] = []
 
     def verdict(p: int, q: int) -> Classification:
-        key = (p, q)
-        if key not in cache:
-            v = classify_verdict(PeriodicCF((), c734_word(p, q)))
-            cache[key] = v.classification
-            trace.append(BracketStep(len(trace) + 1, Fraction(p, q),
-                                     2 * q, v.kappa, v.classification))
-        return cache[key]
+        # a Stern-Brocot descent never meets a density twice
+        v = classify_verdict(PeriodicCF((), c734_word(p, q)))
+        trace.append(BracketStep(len(trace) + 1, Fraction(p, q),
+                                 2 * q, v.kappa, v.classification))
+        return v.classification
 
     # family anchors, classified during initialization (not bisection steps)
     lo_d, hi_d = (0, 1), (1, 1)
@@ -243,8 +235,6 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
     if anchor_lo is not Classification.DERIV_INFINITY or \
             anchor_hi is not Classification.DERIV_ZERO:
         raise AssertionError("family anchors do not bracket the threshold")
-    cache[(0, 1)] = anchor_lo
-    cache[(1, 1)] = anchor_hi
 
     def gap(lo, hi) -> Fraction:
         return Fraction(hi[0], hi[1]) - Fraction(lo[0], lo[1])
@@ -254,12 +244,11 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
         med = (lo_d[0] + hi_d[0], lo_d[1] + hi_d[1])
         v = verdict(*med)
         toward_lo = v is Classification.DERIV_ZERO
+        lo0, hi0 = lo_d, hi_d
         if toward_lo:
-            lo0, hi0 = lo_d, hi_d
             cand = lambda k: (k * lo0[0] + hi0[0], k * lo0[1] + hi0[1])
             target = Classification.DERIV_ZERO
         else:
-            lo0, hi0 = lo_d, hi_d
             cand = lambda k: (k * hi0[0] + lo0[0], k * hi0[1] + lo0[1])
             target = Classification.DERIV_INFINITY
         k = 1

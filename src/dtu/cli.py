@@ -226,6 +226,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # exact values outgrow Python's 4300-digit int-to-str limit (g at
+    # x = 1/100000 prints 41,841 characters), so the CLI process lifts it;
+    # Pythons before 3.10.7 have no such limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
 from . import cf
@@ -64,21 +65,18 @@ def _require_feasible(inst: ExtremalInstance):
 
 
 def count_words(inst: ExtremalInstance) -> int:
-    """Number of words in M(n, S), by pairwise convolution."""
+    """Number of words in M(n, S), by a closed binomial sum.
+
+    A pair of weighted cost c >= 3 has (c-1)//2 realizations in either
+    orientation, so one pair counts as z^3 / ((1-z)(1-z^2)), and |M(n, S)| is
+    the coefficient of z^N in (1-z)^-m (1-z^2)^-m for m pairs, where
+    N = S - 3m is the surplus over the all-ones floor.
+    """
     _require_feasible(inst)
-    m, s = inst.pairs, inst.s
-    # per-pair cost c has max(0, (c-1)//2) realizations for either orientation
-    ways = [0] * (s + 1)
-    ways[0] = 1
-    for _ in range(m):
-        nxt = [0] * (s + 1)
-        for acc in range(s + 1):
-            w = ways[acc]
-            if w:
-                for c in range(3, s - acc + 1):
-                    nxt[acc + c] += w * ((c - 1) // 2)
-        ways = nxt
-    return ways[s]
+    m = inst.pairs
+    surplus = inst.s - 3 * m
+    return sum(comb(m - 1 + k, m - 1) * comb(m - 1 + surplus - 2 * k, m - 1)
+               for k in range(surplus // 2 + 1))
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,8 @@ def brute_extrema(inst: ExtremalInstance, cap: int = DEFAULT_BRUTE_CAP) -> Extre
     """Exact minimum and maximum continuant over M(n, S).
 
     Ties break to the lexicographically smallest sequence.  Raises
-    CapExceededError when |M(n, S)| exceeds `cap`; the count is established
-    by dynamic programming before any search.  The search is a plain-integer
+    CapExceededError when |M(n, S)| exceeds `cap`; the count is a closed
+    sum, established before any search.  The search is a plain-integer
     Pareto-frontier DP over prefix row vectors, which visits at most
     |M(n, S)| states per level.
     """

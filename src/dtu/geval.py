@@ -52,7 +52,14 @@ def _field(lam: Lambda):
 
 
 def g_mediant(lam: Lambda, x: Fraction) -> ExactScalar:
-    """Evaluate g_lambda at a rational x by descending the Stern-Brocot tree."""
+    """Evaluate g_lambda at a rational x by descending the Stern-Brocot tree.
+
+    From [0, 1], the path to x = [0; a1..an] is a run of a1-1 steps toward 0,
+    then runs of a2, ..., a_{n-1} alternating sides, then a_n - 1 (a1-2 when
+    n = 1).  A run is one jump: k steps toward 0 shrink g_hi - g_lo by
+    lambda^k from the left end, k steps toward 1 by (1-lambda)^k from the
+    right end; x is the mediant of the final ends.
+    """
     lam_v, com_v, zero, one = _field(lam)
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -61,18 +68,16 @@ def g_mediant(lam: Lambda, x: Fraction) -> ExactScalar:
         return zero
     if x == 1:
         return one
-    lo_n, lo_d, g_lo = 0, 1, zero
-    hi_n, hi_d, g_hi = 1, 1, one
-    while True:
-        med_n, med_d = lo_n + hi_n, lo_d + hi_d
-        g_med = com_v * g_lo + lam_v * g_hi
-        med = Fraction(med_n, med_d)
-        if x == med:
-            return g_med
-        if x < med:
-            hi_n, hi_d, g_hi = med_n, med_d, g_med
+    runs = list(cf.cf_of(x))
+    runs[0] -= 1
+    runs[-1] -= 1
+    g_lo, g_hi = zero, one
+    for i, k in enumerate(runs):
+        if i % 2 == 0:
+            g_hi = g_lo + lam_v ** k * (g_hi - g_lo)
         else:
-            lo_n, lo_d, g_lo = med_n, med_d, g_med
+            g_lo = g_hi - com_v ** k * (g_hi - g_lo)
+    return com_v * g_lo + lam_v * g_hi
 
 
 def g_finite_series(lam: Lambda, seq) -> ExactScalar:

@@ -18,6 +18,8 @@ from .encode import fraction_str, seq_str
 from .golden import GoldenScalar
 
 _SEED = 0x5F3759
+_EPS = Fraction(1, 500)  # the threshold bracket's width is at most 2 * _EPS
+_FAMILY_M, _FAMILY_ALPHA = 400, Fraction(11, 20)  # alpha * m must be integral
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,7 @@ def random_low_sum_word(rng: random.Random, max_pairs: int = 6) -> tuple[int, ..
     return tuple(word)
 
 
-def verify_suite(eps: Fraction = Fraction(1, 500),
-                 family_m: int = 400,
-                 family_alpha: Fraction = Fraction(11, 20),
-                 inject_fault: Optional[str] = None) -> VerifyReport:
+def verify_suite(inject_fault: Optional[str] = None) -> VerifyReport:
     """Run every verification check and collect one row per check.
 
     `inject_fault` flips the outcome of the named check; it exists so the
@@ -117,9 +116,7 @@ def verify_suite(eps: Fraction = Fraction(1, 500),
            f"{200 - bad}/200 DerivInfinity", bad == 0)
 
     # 4. sparse-tail family member: period 1^(2m-1), alpha*m + 1
-    m, alpha = family_m, Fraction(family_alpha)
-    if (alpha * m).denominator != 1:
-        raise ValueError("family parameters need alpha*m integral")
+    m, alpha = _FAMILY_M, _FAMILY_ALPHA
     eps_cond = alpha - Fraction(1, 2)
     cond_ok = eps_cond > 0 and GoldenScalar.phi_power(int(m * eps_cond)) >= 3 * m
     word = (1,) * (2 * m - 1) + (int(alpha * m) + 1,)
@@ -144,10 +141,10 @@ def verify_suite(eps: Fraction = Fraction(1, 500),
            f"{100 - dual_bad}/100 agree", dual_bad == 0)
 
     # 6. the threshold bracket
-    bracket = kappa2_bracket(eps)
+    bracket = kappa2_bracket(_EPS)
     lo_cls = classify(bracket.witness_lo)
     hi_cls = classify(bracket.witness_hi)
-    structural = (bracket.hi - bracket.lo <= 2 * eps
+    structural = (bracket.hi - bracket.lo <= 2 * _EPS
                   and lo_cls is Classification.DERIV_INFINITY
                   and hi_cls is Classification.DERIV_ZERO)
     lo_s = cf.weighted_sum(bracket.witness_lo.period, Orientation.PHI)
@@ -155,7 +152,7 @@ def verify_suite(eps: Fraction = Fraction(1, 500),
     lo_pairs = len(bracket.witness_lo.period) // 2
     hi_pairs = len(bracket.witness_hi.period) // 2
     record("threshold-bracket",
-           f"enclosure width <= {fraction_str(2 * eps)},"
+           f"enclosure width <= {fraction_str(2 * _EPS)},"
            f" witnesses DerivInfinity/DerivZero",
            f"[{lo_s}/{lo_pairs}, {hi_s}/{hi_pairs}] width"
            f" {fraction_str(bracket.hi - bracket.lo)},"

@@ -11,7 +11,8 @@ import pytest
 
 import dtu
 from dtu.cli import main
-from dtu.encode import parse_fraction, parse_golden, parse_seq, parse_surd
+from dtu.encode import (decimal_str, parse_fraction, parse_golden, parse_seq,
+                        parse_surd)
 from dtu.geval import LambdaKind, g_mediant
 from dtu.verify import report_markdown, verify_suite
 
@@ -137,6 +138,11 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "extremal", "--n", "12", "--s", "120",
                        "--mode", "brute")
     assert code == 2
+    # the word count is a closed sum: 1.1e12 words are counted, not visited
+    code, _, err = run(capsys, "extremal", "--n", "4", "--s", "30000",
+                       "--mode", "brute")
+    assert code == 2
+    assert "1124662532499 words exceed the cap" in err
     with pytest.raises(SystemExit):
         main(["eval", "--help"])
 
@@ -170,13 +176,36 @@ def test_env_cap_override(capsys, monkeypatch):
     assert code == 2
 
 
-def test_cli_import_leaves_numpy_out():
-    # every CLI call pays its imports; numpy is a test dependency only
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's dtu."""
     src = str(Path(dtu.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    subprocess.run([sys.executable, "-c",
-                    "import dtu.cli, sys; assert 'numpy' not in sys.modules"],
-                   check=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_cli_import_leaves_numpy_out():
+    # every CLI call pays its imports; numpy is a test dependency only
+    proc = _python("-c", "import dtu.cli, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_eval_prints_values_past_the_int_str_limit():
+    # g(1/100000) has coefficients of about 20,900 digits, past Python's
+    # 4300-digit int-to-str limit.  main() lifts the limit for its whole
+    # process, so the CLI runs in fresh interpreters here: they start at the
+    # default limit whatever in-process calls of main() did before
+    by_mediant = _python("-m", "dtu.cli", "eval", "--lambda", "phi-inv",
+                         "--x", "1/100000")
+    by_series = _python("-m", "dtu.cli", "eval", "--lambda", "phi-inv",
+                        "--x", "100000", "--x-is-cf")
+    assert by_mediant.returncode == 0, by_mediant.stderr
+    assert by_series.returncode == 0, by_series.stderr
+    assert by_mediant.stdout == by_series.stdout
+    exact, decimal = by_mediant.stdout.splitlines()
+    assert len(exact) == 41_804 and exact.endswith("*phi")
+    assert decimal == decimal_str(g_mediant(LambdaKind.PHI_INV,
+                                            Fraction(1, 100000)))
 
 
 def test_verify_command_and_fault_injection(tmp_path, capsys):
@@ -202,7 +231,7 @@ def test_verify_command_and_fault_injection(tmp_path, capsys):
 
 
 def test_report_renders_bracket_endpoints_unreduced():
-    report = verify_suite(eps=Fraction(1, 500))
+    report = verify_suite()
     md = report_markdown(report)
     assert "496/38" in md
     assert "483/37" in md

@@ -87,11 +87,32 @@ def test_brute_matches_naive_enumeration():
 def test_count_matches_enumeration():
     for n, s in [(2, 9), (4, 14), (6, 13), (4, 20)]:
         inst = ExtremalInstance(n, s)
-        weights = [PHI.weight(i) for i in range(1, n + 1)]
-        explicit = sum(
-            1 for word in itertools.product(range(1, s), repeat=n)
-            if sum(a * w for a, w in zip(word, weights)) == s)
+        explicit = sum(1 for _ in words_of(n, s, PHI))
         assert count_words(inst) == explicit == brute_extrema(inst).count
+
+
+def convolution_count(n, s):
+    """|M(n, S)| by convolving the per-pair counts (c-1)//2, c >= 3, once
+    per pair."""
+    ways = [1] + [0] * s
+    for _ in range(n // 2):
+        nxt = [0] * (s + 1)
+        for acc, w in enumerate(ways):
+            if w:
+                for c in range(3, s - acc + 1):
+                    nxt[acc + c] += w * ((c - 1) // 2)
+        ways = nxt
+    return ways[s]
+
+
+def test_count_matches_convolution():
+    for n, s in [(4, 400), (10, 200), (40, 300)]:
+        want = convolution_count(n, s)
+        for o in (PHI, TAU):
+            assert count_words(ExtremalInstance(n, s, o)) == want
+    for n in range(2, 21, 2):
+        for s in range(3 * n // 2, 3 * n // 2 + 25):
+            assert count_words(ExtremalInstance(n, s)) == convolution_count(n, s)
 
 
 def test_cap_enforced():

@@ -41,6 +41,22 @@ def test_series_examples():
         g_finite_series(LambdaKind.TAU, ())
 
 
+WEIGHTS = [LambdaKind.HALF, LambdaKind.PHI_INV, LambdaKind.TAU, Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("lam", WEIGHTS)
+def test_mediant_jumps_match_stepwise_farey_table(lam):
+    # sample_farey applies the recursion one mediant at a time
+    for x, g in sample_farey(lam, 64):
+        assert g_mediant(lam, x) == g, (lam, x)
+
+
+@pytest.mark.parametrize("lam", WEIGHTS)
+def test_mediant_at_one_huge_quotient(lam):
+    # a single run of 99,998 mediant steps toward 0
+    assert g_mediant(lam, Fraction(1, 100000)) == g_finite_series(lam, (100000,))
+
+
 def test_series_equals_mediant_on_farey_order_24_with_random_weights():
     rng = random.Random(23)
     weights = [LambdaKind.HALF, LambdaKind.PHI_INV, LambdaKind.TAU]
