@@ -64,12 +64,35 @@ def quotient_matrix(seq: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int
     <A^-> drops the last element, <A_-> the first, <A_-^-> both; the
     determinant is (-1)^n.
     """
-    seq = check_quotients(seq, allow_empty=False)
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for a in seq:
-        m00, m01 = m00 * a + m01, m00
-        m10, m11 = m10 * a + m11, m10
+    m00, m01, m10, m11 = _quotient_matrix(check_quotients(seq, allow_empty=False))
     return (m00, m01), (m10, m11)
+
+
+# Runs of at most this many quotients are multiplied left to right; longer
+# ones are split at the midpoint, so the big products multiply operands of
+# equal size (Karatsuba in CPython) instead of a huge entry by a small int.
+_LEAF = 32
+
+
+def _quotient_matrix(seq: Quotients, lo: int = 0,
+                     hi: int | None = None) -> tuple[int, int, int, int]:
+    """quotient_matrix of the validated seq[lo:hi], unchecked, as a flat 4-tuple."""
+    if hi is None:
+        hi = len(seq)
+    if hi - lo <= _LEAF:
+        m00, m01, m10, m11 = 1, 0, 0, 1
+        # indexed, not sliced: CPython keeps freed short tuples on free
+        # lists, so the leaf slices of a long period would stay resident
+        for i in range(lo, hi):
+            a = seq[i]
+            m00, m01 = m00 * a + m01, m00
+            m10, m11 = m10 * a + m11, m10
+        return m00, m01, m10, m11
+    mid = (lo + hi) // 2
+    a00, a01, a10, a11 = _quotient_matrix(seq, lo, mid)
+    b00, b01, b10, b11 = _quotient_matrix(seq, mid, hi)
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
 def value_of(seq: Sequence[int]) -> Fraction:
@@ -169,12 +192,12 @@ def periodic_value(x: PeriodicCF) -> QuadraticSurd:
     (positive root); a preperiod P maps y through the Moebius transform
     (<P_-> + y <P_-^->) / (<P> + y <P^->).
     """
-    (m00, m01), (m10, m11) = quotient_matrix(x.period)
+    m00, m01, m10, m11 = _quotient_matrix(x.period)  # validated by PeriodicCF
     a, b, c = m01, m00 - m11, -m10
     disc = b * b - 4 * a * c
     y = QuadraticSurd(-b, 1, 2 * a, disc)
     if x.preperiod:
-        (p00, p01), (p10, p11) = quotient_matrix(x.preperiod)
+        p00, p01, p10, p11 = _quotient_matrix(x.preperiod)
         y = (QuadraticSurd.from_fraction(Fraction(p10)) + y * p11) / \
             (QuadraticSurd.from_fraction(Fraction(p00)) + y * p01)
     if not (QuadraticSurd.from_fraction(0) < y < QuadraticSurd.from_fraction(1)):

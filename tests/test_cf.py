@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtu import cf
 from dtu.cf import CFConvention, Orientation, PeriodicCF
+from dtu.classify import c734_word
 from dtu.surd import QuadraticSurd
 
 
@@ -18,6 +21,35 @@ def naive_continuant(seq):
     if len(seq) == 1:
         return seq[0]
     return seq[-1] * naive_continuant(seq[:-1]) + naive_continuant(seq[:-2])
+
+
+def linear_quotient_matrix(seq):
+    """The plain left-to-right recurrence, kept as the oracle of the product tree."""
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    for a in seq:
+        m00, m01 = m00 * a + m01, m00
+        m10, m11 = m10 * a + m11, m10
+    return (m00, m01), (m10, m11)
+
+
+def fraction_fold(seq):
+    """[0; a_1, ..., a_n] folded from the back in Fractions."""
+    x = Fraction(0)
+    for a in reversed(seq):
+        x = 1 / (a + x)
+    return x
+
+
+def mat_mul(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+
+
+# quotient words of 1 to 400 entries up to 10^6: split points of the product
+# tree fall inside and across its leaves
+words = st.integers(1, 400).flatmap(
+    lambda n: st.lists(st.integers(1, 10 ** 6), min_size=n, max_size=n))
 
 
 def test_continuant_examples():
@@ -48,6 +80,39 @@ def test_quotient_matrix_entries_and_determinant():
         assert m00 * m11 - m01 * m10 == (-1) ** len(seq)
     with pytest.raises(ValueError):
         cf.quotient_matrix(())
+
+
+def test_quotient_matrix_matches_linear_recurrence():
+    rng = random.Random(23)
+    leaf_edges = [cf._LEAF * 2 ** k + d for k in range(8) for d in (-1, 0, 1)]
+    for n in list(range(1, 301)) + leaf_edges:
+        seq = tuple(rng.randint(1, 10 ** 6) for _ in range(n))
+        m = cf.quotient_matrix(seq)
+        assert m == linear_quotient_matrix(seq), n
+        (m00, m01), (m10, m11) = m
+        assert m00 * m11 - m01 * m10 == (-1) ** n
+        if n <= 300:
+            assert cf.value_of(seq) == fraction_fold(seq)
+    # the longest kappa2 periods at eps = 1e-7 and 1e-8
+    for p, q in ((2900, 8740), (8000, 24457)):
+        period = c734_word(p, q)
+        (m00, m01), (m10, m11) = m = cf.quotient_matrix(period)
+        assert m == linear_quotient_matrix(period)
+        assert m00 * m11 - m01 * m10 == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(words, words)
+def test_matrix_of_concatenation_is_the_product(a, b):
+    assert cf.quotient_matrix(a + b) == \
+        mat_mul(cf.quotient_matrix(a), cf.quotient_matrix(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(words)
+def test_matrix_of_reversal_is_the_transpose(a):
+    (m00, m01), (m10, m11) = cf.quotient_matrix(a)
+    assert cf.quotient_matrix(cf.reverse(a)) == ((m00, m10), (m01, m11))
 
 
 def test_value_of_examples():

@@ -18,6 +18,7 @@ from dtu.verify import report_markdown, verify_suite
 
 
 # byte-exact CLI outputs recorded before verdicts were decided in integers
+# (kappa2_eps1e-6*: before period matrices became balanced products)
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -122,6 +123,20 @@ def test_kappa2_command(tmp_path, capsys):
             "classification"} <= set(steps[0])
     assert out == (GOLDEN / "kappa2.json").read_text()
     assert trace_path.read_text() == (GOLDEN / "kappa2_trace.json").read_text()
+
+
+def test_deep_kappa2_output_is_pinned(tmp_path, capsys):
+    # periods up to 5,026 quotients, so each period matrix is a product
+    # of many leaves
+    trace_path = tmp_path / "trace.json"
+    code, out, _ = run(capsys, "kappa2", "--epsilon", "1/1000000",
+                       "--trace", str(trace_path))
+    assert code == 0
+    assert max(step["period_length"]
+               for step in json.loads(trace_path.read_text())) == 5026
+    assert out == (GOLDEN / "kappa2_eps1e-6.json").read_text()
+    assert trace_path.read_text() == \
+        (GOLDEN / "kappa2_eps1e-6_trace.json").read_text()
 
 
 def test_exit_codes(capsys):

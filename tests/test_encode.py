@@ -1,9 +1,14 @@
 """Wire-format round trips and decimal rendering."""
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dtu.classify import c734_word, growth_rate
 from dtu.encode import (decimal_str, fraction_str, golden_str, parse_fraction,
                         parse_golden, parse_seq, parse_surd, seq_str, surd_str)
 from dtu.golden import GoldenScalar
@@ -62,3 +67,65 @@ def test_decimal_renders_30_significant_digits():
     # deterministic
     assert decimal_str(QuadraticSurd(15, 4, 1, 14)) == \
         decimal_str(QuadraticSurd(15, 4, 1, 14))
+
+
+@contextmanager
+def unlimited_int_str():
+    """Lift the int <-> str digit limit (where Python has one), then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+# small values and values of up to 40,000 bits (about 12,000 digits)
+huge = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                 st.integers(-(1 << 40000), 1 << 40000))
+huge_positive = huge.map(lambda n: abs(n) + 1)
+huge_fractions = st.builds(Fraction, huge, huge_positive)
+
+
+@settings(max_examples=100, deadline=None)
+@given(huge_fractions)
+def test_fraction_round_trip_huge(x):
+    with unlimited_int_str():
+        assert parse_fraction(fraction_str(x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(huge_fractions, huge_fractions)
+def test_golden_round_trip_huge(a, b):
+    g = GoldenScalar(a, b)
+    with unlimited_int_str():
+        assert parse_golden(golden_str(g)) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(huge, huge, huge_positive, huge_positive)
+def test_surd_round_trip_huge(p, q, r, d):
+    s = QuadraticSurd(p, q, r, d)
+    with unlimited_int_str():
+        t = parse_surd(surd_str(s))
+    assert (t.p, t.q, t.r, t.d) == (s.p, s.q, s.r, s.d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(huge_positive, min_size=1, max_size=50))
+def test_seq_round_trip_huge(seq):
+    with unlimited_int_str():
+        assert parse_seq(seq_str(seq)) == tuple(seq)
+
+
+def test_growth_rate_surd_round_trip():
+    # the largest kappa2 period at eps = 1e-6 (5,026 quotients)
+    rate = growth_rate(c734_word(800, 2513)).value
+    with unlimited_int_str():
+        assert len(str(rate.d)) > 4300
+        text = surd_str(rate)
+        back = parse_surd(text)
+    assert (back.p, back.q, back.r, back.d) == (rate.p, rate.q, rate.r, rate.d)
