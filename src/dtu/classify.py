@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import cf
 from .cf import Orientation, PeriodicCF, Quotients
+from .extremal import _assemble, _mechanical_blocks
 from .geval import CertifiedInterval, _golden_enclosure
 from .golden import GoldenScalar
 from .surd import QuadraticSurd, compare_values
@@ -198,11 +199,7 @@ def c734_word(p: int, q: int) -> Quotients:
     with the rare block placed last for p/q <= 1/2."""
     if not 0 <= p <= q or q < 1:
         raise ValueError("density must be a fraction p/q with 0 <= p <= q")
-    word = []
-    for j in range(q):
-        heavy = 4 if ((j + 1) * p) // q - (j * p) // q == 1 else 3
-        word.extend((7, heavy))
-    return tuple(word)
+    return _assemble(_mechanical_blocks((7, 3), (7, 4), q - p, p))
 
 
 def kappa2_bracket(eps: Fraction) -> KappaBracket:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,13 +18,15 @@ from pathlib import Path
 from . import cf
 from .cf import Orientation, PeriodicCF
 from .classify import classify_verdict, kappa2_bracket
-from .config import RunConfig
 from .encode import (decimal_str, exact_str, fraction_str, parse_fraction,
                      parse_seq, seq_str, surd_str)
-from .extremal import (CapExceededError, ExtremalInstance, InfeasibleError,
-                       brute_extrema, max_construct, min_construct)
-from .geval import LambdaKind, g_finite_series, g_mediant, sample_farey
-from .verify import report_json, report_markdown, trace_json, verify_suite
+from .extremal import (DEFAULT_BRUTE_CAP, CapExceededError, ExtremalInstance,
+                       InfeasibleError, brute_extrema, max_construct,
+                       min_construct)
+from .geval import (DEFAULT_FAREY_DEPTH_CAP, LambdaKind, g_finite_series,
+                    g_mediant, sample_farey)
+from .verify import (kappa2_payload, report_json, report_markdown, trace_json,
+                     verify_suite)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,10 +48,7 @@ def _parse_lambda(text: str):
              "tau": LambdaKind.TAU}
     if text in table:
         return table[text]
-    value = parse_fraction(text)
-    if not 0 < value < 1:
-        raise ValueError(f"rational weight must lie in (0, 1), got {text}")
-    return value
+    return parse_fraction(text)  # geval checks that it lies in (0, 1)
 
 
 def _parse_orientation(text: str) -> Orientation:
@@ -58,6 +58,21 @@ def _parse_orientation(text: str) -> Orientation:
         raise ValueError(f"orientation must be phi or tau, got {text!r}")
 
 
+def _env_cap(name: str, default: int) -> int:
+    """The positive integer in DTU_<name>, or `default` when it is unset."""
+    var = "DTU_" + name
+    raw = os.environ.get(var)
+    if raw is None:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{var} must be an integer, got {raw!r}") from None
+    if cap <= 0:
+        raise ValueError(f"{var} must be positive, got {raw!r}")
+    return cap
+
+
 def _emit(text: str, path):
     if path:
         Path(path).write_text(text)
@@ -65,7 +80,7 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
-def _cmd_eval(args, config: RunConfig) -> int:
+def _cmd_eval(args) -> int:
     lam = _parse_lambda(args.lam)
     if args.x_is_cf:
         seq = parse_seq(args.x)
@@ -83,9 +98,10 @@ def _cmd_eval(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_sample(args, config: RunConfig) -> int:
+def _cmd_sample(args) -> int:
     lam = _parse_lambda(args.lam)
-    table = sample_farey(lam, args.depth, depth_cap=config.farey_depth_cap)
+    cap = _env_cap("FAREY_DEPTH_CAP", DEFAULT_FAREY_DEPTH_CAP)
+    table = sample_farey(lam, args.depth, depth_cap=cap)
     lines = ["x_num,x_den,g_exact,g_decimal"]
     for x, g in table:
         lines.append(f"{x.numerator},{x.denominator},{exact_str(g)},{decimal_str(g)}")
@@ -93,7 +109,7 @@ def _cmd_sample(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args, config: RunConfig) -> int:
+def _cmd_classify(args) -> int:
     period = parse_seq(args.period)
     preperiod = parse_seq(args.preperiod) if args.preperiod else ()
     o = _parse_orientation(args.orientation)
@@ -118,7 +134,7 @@ def _cmd_classify(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_extremal(args, config: RunConfig) -> int:
+def _cmd_extremal(args) -> int:
     o = _parse_orientation(args.orientation)
     inst = ExtremalInstance(args.n, args.s, o)
     payload = {"n": args.n, "s": args.s, "orientation": o.value,
@@ -132,7 +148,7 @@ def _cmd_extremal(args, config: RunConfig) -> int:
         payload.update(sequence=seq_str(built.sequence), certified=built.certified)
         value = cf.continuant(built.sequence)
     else:
-        res = brute_extrema(inst, cap=config.brute_cap)
+        res = brute_extrema(inst, cap=_env_cap("BRUTE_CAP", DEFAULT_BRUTE_CAP))
         payload.update(sequence=seq_str(res.max_seq), certified=True,
                        count=res.count,
                        min_sequence=seq_str(res.min_seq),
@@ -144,23 +160,17 @@ def _cmd_extremal(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_kappa2(args, config: RunConfig) -> int:
+def _cmd_kappa2(args) -> int:
     eps = parse_fraction(args.epsilon)
     bracket = kappa2_bracket(eps)
-    payload = {
-        "lo": fraction_str(bracket.lo),
-        "hi": fraction_str(bracket.hi),
-        "witness_lo": seq_str(bracket.witness_lo.period),
-        "witness_hi": seq_str(bracket.witness_hi.period),
-        "steps": len(bracket.trace),
-    }
     if args.trace:
         Path(args.trace).write_text(trace_json(bracket))
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(json.dumps(kappa2_payload(bracket), sort_keys=True, indent=2) + "\n",
+          args.output)
     return EXIT_OK
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     report = verify_suite(inject_fault=args.inject_fault)
     md = report_markdown(report)
     if args.output:
@@ -227,23 +237,26 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     # exact values outgrow Python's 4300-digit int-to-str limit (g at
-    # x = 1/100000 prints 41,841 characters), so the CLI process lifts it;
+    # x = 1/100000 prints 41,841 characters), so main lifts it while it runs;
     # Pythons before 3.10.7 have no such limit
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
+    try:
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        config = RunConfig.from_env()
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args, config)
+        return args.func(args)
     except (InfeasibleError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

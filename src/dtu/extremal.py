@@ -70,13 +70,22 @@ def count_words(inst: ExtremalInstance) -> int:
     A pair of weighted cost c >= 3 has (c-1)//2 realizations in either
     orientation, so one pair counts as z^3 / ((1-z)(1-z^2)), and |M(n, S)| is
     the coefficient of z^N in (1-z)^-m (1-z^2)^-m for m pairs, where
-    N = S - 3m is the surplus over the all-ones floor.
+    N = S - 3m is the surplus over the all-ones floor: the sum over
+    k = 0..N//2 of C(m-1+k, m-1) C(m-1+r, m-1) with r = N - 2k.  Each
+    binomial is updated from the previous term by its ratio, and every
+    division is exact.
     """
     _require_feasible(inst)
     m = inst.pairs
-    surplus = inst.s - 3 * m
-    return sum(comb(m - 1 + k, m - 1) * comb(m - 1 + surplus - 2 * k, m - 1)
-               for k in range(surplus // 2 + 1))
+    r = inst.s - 3 * m
+    a, b = 1, comb(m - 1 + r, m - 1)
+    total = b
+    for k in range(r // 2):
+        a = a * (m + k) // (k + 1)
+        b = b * r * (r - 1) // ((m - 1 + r) * (m - 2 + r))
+        r -= 2
+        total += a * b
+    return total
 
 
 @dataclass(frozen=True)
@@ -463,8 +472,10 @@ class MaxConstruction:
 
 def max_construct(inst: ExtremalInstance) -> MaxConstruction:
     """Near-maximal word: balanced blocks for per-pair >= 8 (within the proven
-    constant factor of the true maximum); below that, a window-narrowed greedy
-    seed, flagged as uncertified."""
+    constant factor of the true maximum); below that, a greedy word, flagged
+    as uncertified.  It raises the heavy positions round-robin and puts an
+    odd unit on one light position, so it is already a window form (both
+    weight classes have spread <= 1)."""
     _require_feasible(inst)
     if inst.per_pair >= 8:
         return MaxConstruction(balanced_max(inst), True)
@@ -480,6 +491,6 @@ def max_construct(inst: ExtremalInstance) -> MaxConstruction:
         i += 1
     if delta:
         word[light[0] - 1] += 1
-    seed = tuple(word)
-    assert cf.weighted_sum(seed, o) == inst.s
-    return MaxConstruction(normalize_m4(seed, o), False)
+    word = tuple(word)
+    assert cf.weighted_sum(word, o) == inst.s
+    return MaxConstruction(word, False)

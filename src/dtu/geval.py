@@ -197,7 +197,8 @@ def sample_farey(lam: Lambda, depth: int,
     """All Farey fractions of order <= depth with exact g values, sorted by x.
 
     Values are propagated down the tree (each mediant's value from its two
-    parents), so the table is a single in-order traversal.
+    parents), so the table is a single in-order traversal that computes each
+    value once.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -205,21 +206,20 @@ def sample_farey(lam: Lambda, depth: int,
         raise ValueError(f"depth {depth} exceeds cap {depth_cap}")
     lam_v, com_v, zero, one = _field(lam)
     out: list[tuple[Fraction, ExactScalar]] = [(Fraction(0), zero)]
-    # iterative in-order traversal of the mediant tree restricted to
-    # denominators <= depth; state 0 visits the left subtree first
-    stack = [(0, 1, zero, 1, 1, one, 0)]
-    while stack:
-        ln, ld, gl, rn, rd, gr, state = stack.pop()
-        md = ld + rd
-        if md > depth:
-            continue
-        mn = ln + rn
-        gm = com_v * gl + lam_v * gr
-        if state == 0:
-            stack.append((ln, ld, gl, rn, rd, gr, 1))
-            stack.append((ln, ld, gl, mn, md, gm, 0))
-        else:
-            out.append((Fraction(mn, md), gm))
-            stack.append((mn, md, gm, rn, rd, gr, 0))
+    # in-order walk of the mediant tree restricted to denominators <= depth:
+    # go left from (l, r) while the mediant fits, keeping each mediant with
+    # its value and its right end; a popped mediant is the next left end
+    ln, ld, gl = 0, 1, zero
+    rn, rd, gr = 1, 1, one
+    stack = []
+    while True:
+        while ld + rd <= depth:
+            mn, md, gm = ln + rn, ld + rd, com_v * gl + lam_v * gr
+            stack.append((mn, md, gm, rn, rd, gr))
+            rn, rd, gr = mn, md, gm
+        if not stack:
+            break
+        ln, ld, gl, rn, rd, gr = stack.pop()
+        out.append((Fraction(ln, ld), gl))
     out.append((Fraction(1), one))
     return out

@@ -198,15 +198,19 @@ def report_json(report: VerifyReport) -> str:
         "passed": report.passed,
     }
     if report.bracket is not None:
-        b = report.bracket
-        payload["kappa2"] = {
-            "lo": fraction_str(b.lo),
-            "hi": fraction_str(b.hi),
-            "witness_lo": seq_str(b.witness_lo.period),
-            "witness_hi": seq_str(b.witness_hi.period),
-            "steps": len(b.trace),
-        }
+        payload["kappa2"] = kappa2_payload(report.bracket)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def kappa2_payload(bracket: KappaBracket) -> dict:
+    """The enclosure's endpoints, witness periods and step count, encoded."""
+    return {
+        "lo": fraction_str(bracket.lo),
+        "hi": fraction_str(bracket.hi),
+        "witness_lo": seq_str(bracket.witness_lo.period),
+        "witness_hi": seq_str(bracket.witness_hi.period),
+        "steps": len(bracket.trace),
+    }
 
 
 def trace_json(bracket: KappaBracket) -> str:

@@ -200,6 +200,12 @@ def test_c734_words():
     word = c734_word(3, 8)
     pairs = [(word[i], word[i + 1]) for i in range(0, len(word), 2)]
     assert pairs.count((7, 4)) == 3 and pairs.count((7, 3)) == 5
+    # the (7,4) blocks sit where the mechanical word of density p/q steps
+    for q in range(1, 40):
+        for p in range(q + 1):
+            heavy = [4 if ((j + 1) * p) // q - (j * p) // q == 1 else 3
+                     for j in range(q)]
+            assert c734_word(p, q) == tuple(v for h in heavy for v in (7, h))
 
 
 def test_kappa2_bracket_eps_one():

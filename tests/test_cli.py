@@ -153,6 +153,10 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "extremal", "--n", "12", "--s", "120",
                        "--mode", "brute")
     assert code == 2
+    # the cap check itself is quick at n = 2000 (the sum has 13,501 terms)
+    code, _, err = run(capsys, "extremal", "--n", "2000", "--s", "30000",
+                       "--mode", "brute")
+    assert code == 2
     # the word count is a closed sum: 1.1e12 words are counted, not visited
     code, _, err = run(capsys, "extremal", "--n", "4", "--s", "30000",
                        "--mode", "brute")
@@ -189,6 +193,41 @@ def test_env_cap_override(capsys, monkeypatch):
     code, _, err = run(capsys, "extremal", "--n", "4", "--s", "16",
                        "--mode", "brute")
     assert code == 2
+    # each verb reads only its own cap
+    monkeypatch.setenv("DTU_BRUTE_CAP", "abc")
+    code, out, err = run(capsys, "extremal", "--n", "4", "--s", "16",
+                         "--mode", "brute")
+    assert code == 1 and out == ""
+    assert "DTU_BRUTE_CAP" in err
+    # a malformed cap does not fail a verb that does not read it
+    code, out, _ = run(capsys, "eval", "--lambda", "half", "--x", "1/3")
+    assert code == 0 and out.startswith("1/4\n")
+    code, out, _ = run(capsys, "extremal", "--n", "4", "--s", "16",
+                       "--mode", "max")
+    assert code == 0 and json.loads(out)["sequence"] == "4,2,4,2"
+    monkeypatch.setenv("DTU_FAREY_DEPTH_CAP", "0")
+    code, out, err = run(capsys, "sample", "--lambda", "half", "--depth", "3")
+    assert code == 1 and out == ""
+    assert "DTU_FAREY_DEPTH_CAP" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--lambda", "phi-inv", "--x", "2/5"],
+    ["eval", "--lambda", "tau", "--x", "3,2,3", "--x-is-cf", "--format", "json"],
+    ["sample", "--lambda", "phi-inv", "--depth", "6"],
+    ["classify", "--period", "7,3", "--preperiod", "2,1"],
+    ["extremal", "--n", "4", "--s", "16", "--mode", "min"],
+    ["extremal", "--n", "6", "--s", "30", "--mode", "max", "--orientation", "tau"],
+    ["extremal", "--n", "4", "--s", "16", "--mode", "brute"],
+    ["kappa2", "--epsilon", "1/50"],
+])
+def test_output_file_holds_the_printed_document(tmp_path, capsys, argv):
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0 and printed
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--output", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text() == printed
 
 
 def _python(*args):
@@ -207,9 +246,9 @@ def test_cli_import_leaves_numpy_out():
 
 def test_eval_prints_values_past_the_int_str_limit():
     # g(1/100000) has coefficients of about 20,900 digits, past Python's
-    # 4300-digit int-to-str limit.  main() lifts the limit for its whole
-    # process, so the CLI runs in fresh interpreters here: they start at the
-    # default limit whatever in-process calls of main() did before
+    # 4300-digit int-to-str limit.  main() lifts the limit while it runs;
+    # here the CLI runs in fresh interpreters, which start at the default
+    # limit, as a user's command does
     by_mediant = _python("-m", "dtu.cli", "eval", "--lambda", "phi-inv",
                          "--x", "1/100000")
     by_series = _python("-m", "dtu.cli", "eval", "--lambda", "phi-inv",
@@ -221,6 +260,20 @@ def test_eval_prints_values_past_the_int_str_limit():
     assert len(exact) == 41_804 and exact.endswith("*phi")
     assert decimal == decimal_str(g_mediant(LambdaKind.PHI_INV,
                                             Fraction(1, 100000)))
+
+
+def test_main_restores_the_int_str_limit(capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    before = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "eval", "--lambda", "phi-inv",
+                       "--x", "1/100000")
+    assert code == 0
+    exact, decimal = out.splitlines()
+    assert len(exact) == 41_804 and exact.endswith("*phi")
+    assert decimal == decimal_str(g_mediant(LambdaKind.PHI_INV,
+                                            Fraction(1, 100000)))
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_verify_command_and_fault_injection(tmp_path, capsys):

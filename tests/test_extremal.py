@@ -1,6 +1,7 @@
 """Extremal continuants: exhaustive oracle, constructions, reductions."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -113,6 +114,21 @@ def test_count_matches_convolution():
     for n in range(2, 21, 2):
         for s in range(3 * n // 2, 3 * n // 2 + 25):
             assert count_words(ExtremalInstance(n, s)) == convolution_count(n, s)
+
+
+def comb_sum_count(n, s):
+    """|M(n, S)| by the closed sum with fresh binomials for every term."""
+    m, surplus = n // 2, s - 3 * (n // 2)
+    return sum(math.comb(m - 1 + k, m - 1) * math.comb(m - 1 + surplus - 2 * k, m - 1)
+               for k in range(surplus // 2 + 1))
+
+
+def test_count_ratio_updates_match_fresh_binomials():
+    cases = [(n, s) for n in range(2, 25, 2)
+             for s in range(3 * n // 2, 3 * n // 2 + 41)]
+    cases += [(4, 16), (10, 60), (40, 4000), (400, 6000), (2, 10 ** 5)]
+    for n, s in cases:
+        assert count_words(ExtremalInstance(n, s)) == comb_sum_count(n, s)
 
 
 def test_cap_enforced():
@@ -288,6 +304,15 @@ def test_max_construct_examples_and_regimes():
     low = max_construct(ExtremalInstance(4, 14))  # per-pair 7 < 8
     assert not low.certified
     assert cf.weighted_sum(low.sequence, PHI) == 14
+
+
+def test_max_construct_below_eight_is_a_window_form():
+    # the greedy word needs no narrowing: normalize_m4 leaves it unchanged
+    for n in range(2, 41, 2):
+        for s in range(3 * n // 2, 4 * n):  # per-pair sum 2s/n below 8
+            for o in (PHI, TAU):
+                word = max_construct(ExtremalInstance(n, s, o)).sequence
+                assert normalize_m4(word, o) == word
 
 
 def test_tau_bijection():
