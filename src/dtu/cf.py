@@ -51,7 +51,11 @@ def check_quotients(seq: Sequence[int], allow_empty: bool = True) -> Quotients:
 
 def continuant(seq: Sequence[int]) -> int:
     """The continuant <a_1, ..., a_n>; <> = 1."""
-    seq = check_quotients(seq)
+    return _continuant(check_quotients(seq))
+
+
+def _continuant(seq: Sequence[int]) -> int:
+    """continuant of an already validated quotient sequence, unchecked."""
     value, prev = 1, 0
     for a in seq:
         value, prev = a * value + prev, value

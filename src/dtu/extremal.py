@@ -104,14 +104,18 @@ def _pairs(cost: int, w1: int, w2: int) -> list:
 
 
 def _pareto(states: list) -> list:
-    """The states not weakly dominated by another, best first: after an
-    ascending sort, a state survives only if its second entry is smaller than
-    that of every state kept before it."""
+    """The states not weakly dominated by another, best first, each as
+    (r0, r1, prefix + (p1, p2)): after an ascending sort, a candidate
+    (r0, r1, prefix, p1, p2) survives only if r1 is smaller than that of every
+    state kept before it.  Every prefix at one level has the same length, so
+    the sort orders (prefix, p1, p2) as it would the extended prefix, and only
+    the survivors' prefixes are built."""
     states.sort()
-    keep = [states[0]]
-    for t in states:
-        if t[1] < keep[-1][1]:
-            keep.append(t)
+    r0, r1, prefix, p1, p2 = states[0]
+    keep = [(r0, r1, prefix + (p1, p2))]
+    for r0, r1, prefix, p1, p2 in states:
+        if r1 < keep[-1][1]:
+            keep.append((r0, r1, prefix + (p1, p2)))
     return keep
 
 
@@ -136,7 +140,7 @@ def _extreme(m: int, s: int, phi: bool, sign: int) -> tuple[int, Quotients]:
                 out = grown.setdefault(budget - cost, [])
                 for p1, p2 in _pairs(cost, w1, w2):
                     out.extend((r0 * (p1 * p2 + 1) + r1 * p2, r0 * p1 + r1,
-                                prefix + (p1, p2)) for r0, r1, prefix in states)
+                                prefix, p1, p2) for r0, r1, prefix in states)
         frontier = {budget: _pareto(states) for budget, states in grown.items()}
     # the last pair spends the remaining budget exactly
     value, prefix, p1, p2 = min((r0 * (p1 * p2 + 1) + r1 * p2, prefix, p1, p2)
@@ -193,7 +197,7 @@ def min_construct(inst: ExtremalInstance) -> Quotients:
         candidates = [build(heavy[0], None)]
     else:
         candidates = [build(heavy[0], light[0]), build(heavy[0], light[-1])]
-    best = min(candidates, key=lambda w: (cf.continuant(w), w))
+    best = min(candidates, key=lambda w: (cf._continuant(w), w))
     assert cf.weighted_sum(best, o) == inst.s
     return best
 
@@ -230,8 +234,8 @@ def normalize_m4(seq: Sequence[int], o: Orientation) -> Quotients:
                         candidates.append(tuple(out))
         if not candidates:
             return tuple(seq)
-        seq = list(max(candidates, key=lambda w: (cf.continuant(w),
-                                                  [-x for x in w])))
+        seq = list(max(candidates, key=lambda w: (cf._continuant(w),
+                                                   [-x for x in w])))
 
 
 # -- three-value shapes ---------------------------------------------------------
@@ -349,7 +353,7 @@ def reduce_m3(seq: Sequence[int], o: Orientation) -> M3Result:
             return M3Result(out, True, shape)
         lmin, lmax = min(light), max(light)
         hmin, hmax = min(heavy), max(heavy)
-        before = cf.continuant(word)
+        before = cf._continuant(word)
         moves = []
         # lower one heavy, raise two lights
         if hmax >= 3 and is_abs_increasing_12(hmax - 1, lmin,
@@ -372,7 +376,7 @@ def reduce_m3(seq: Sequence[int], o: Orientation) -> M3Result:
                         cand[hp - 1] += dh
                         cand[l_pos[i1] - 1] += dl
                         cand[l_pos[i2] - 1] += dl
-                        value = cf.continuant(cand)
+                        value = cf._continuant(cand)
                         if best is None or value > best[0]:
                             best = (value, cand)
         if best is None or best[0] <= before:
@@ -405,15 +409,37 @@ def _assemble(blocks: list) -> Quotients:
     return tuple(word)
 
 
-def balanced_max(inst: ExtremalInstance) -> Quotients:
-    """Near-maximal word built from two block kinds in balanced arrangement.
+def _rotation_continuants(blocks: list) -> list:
+    """Continuant of every rotation blocks[s:] + blocks[:s], s = 0..L-1.
 
-    The shape is fixed by the per-pair sum; the block multiset is the unique
-    mix meeting S exactly (one auxiliary (2a+2, a) pair absorbs the odd
-    remainder in the high case, where block sums step by 2).  Blocks are laid
-    out as a mechanical word and the exact best rotation (and auxiliary
-    placement) is selected by continuant comparison.
+    A block (l, h) has the quotient matrix B = [[lh+1, l], [h, 1]], and
+    rotation s has the matrix B_s...B_{L-1} B_0...B_{s-1}, so its continuant
+    is the first row of the suffix product times the first column of the
+    prefix product.  A backward pass keeps every suffix row and a forward pass
+    builds the prefix products: O(L) block steps in all.
     """
+    rows = []
+    s00, s01, s10, s11 = 1, 0, 0, 1
+    for l, h in reversed(blocks):
+        lh = l * h + 1
+        s00, s01, s10, s11 = (lh * s00 + l * s10, lh * s01 + l * s11,
+                              h * s00 + s10, h * s01 + s11)
+        rows.append((s00, s01))
+    rows.reverse()
+    out = []
+    p00, p01, p10, p11 = 1, 0, 0, 1
+    for (r0, r1), (l, h) in zip(rows, blocks):
+        out.append(r0 * p00 + r1 * p10)
+        lh = l * h + 1
+        p00, p01, p10, p11 = (p00 * lh + p01 * h, p00 * l + p01,
+                              p10 * lh + p11 * h, p10 * l + p11)
+    return out
+
+
+def _base_lists(inst: ExtremalInstance) -> list:
+    """The block lists whose rotations `balanced_max` compares: the
+    mechanical arrangement of the block multiset, or, with an auxiliary
+    block, that arrangement with the auxiliary block in each possible place."""
     _require_feasible(inst)
     if inst.per_pair < 8:
         raise ValueError("balanced construction requires per-pair sums >= 8")
@@ -447,17 +473,32 @@ def balanced_max(inst: ExtremalInstance) -> Quotients:
     else:
         blocks = _mechanical_blocks(b1, b0, k, ordinary - k)
 
-    layouts = []
     if special is None:
-        base_lists = [blocks]
-    else:
-        base_lists = [blocks[:i] + [special] + blocks[i:]
-                      for i in range(len(blocks) + 1)]
-    for lst in base_lists:
-        for shift in range(len(lst)):
-            layouts.append(lst[shift:] + lst[:shift])
-    best = max((_assemble(lst) for lst in layouts),
-               key=lambda w: (cf.continuant(w), [-x for x in w]))
+        return [blocks]
+    return [blocks[:i] + [special] + blocks[i:] for i in range(len(blocks) + 1)]
+
+
+def balanced_max(inst: ExtremalInstance) -> Quotients:
+    """Near-maximal word built from two block kinds in balanced arrangement.
+
+    The shape is fixed by the per-pair sum; the block multiset is the unique
+    mix meeting S exactly (one auxiliary (2a+2, a) pair absorbs the odd
+    remainder in the high case, where block sums step by 2).  Blocks are laid
+    out as a mechanical word and the exact best rotation (and auxiliary
+    placement) is selected by continuant comparison, ties going to the
+    lexicographically smallest word.  Every rotation is scored from
+    block-matrix prefix/suffix products, at O(m) block steps per base list:
+    one list for an even remainder, m for an odd one (O(m^2) overall).
+    """
+    top, tied = 0, []
+    for lst in _base_lists(inst):
+        for shift, value in enumerate(_rotation_continuants(lst)):
+            if value > top:
+                top, tied = value, [(lst, shift)]
+            elif value == top:
+                tied.append((lst, shift))
+    # blocks are pairs, so block lists compare as the words they flatten to
+    best = _assemble(min(lst[shift:] + lst[:shift] for lst, shift in tied))
     if inst.orientation is not Orientation.PHI:
         best = cf.reverse(best)
     assert cf.weighted_sum(best, inst.orientation) == inst.s

@@ -18,7 +18,8 @@ from dtu.verify import report_markdown, verify_suite
 
 
 # byte-exact CLI outputs recorded before verdicts were decided in integers
-# (kappa2_eps1e-6*: before period matrices became balanced products)
+# (kappa2_eps1e-6*: before period matrices became balanced products;
+# extremal_max_*: before balanced_max scored rotations by block products)
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -106,6 +107,16 @@ def test_extremal_modes(capsys):
     code, out, _ = run(capsys, "extremal", "--n", "4", "--s", "16",
                        "--mode", "max")
     assert json.loads(out)["sequence"] == "4,2,4,2"
+
+
+@pytest.mark.parametrize("n, s, o", [(n, s, o) for n, s in ((400, 3401), (200, 1701))
+                                     for o in ("phi", "tau")])
+def test_extremal_max_output_is_pinned(capsys, n, s, o):
+    # odd remainders in the high shape: the auxiliary block's placement
+    code, out, _ = run(capsys, "extremal", "--n", str(n), "--s", str(s),
+                       "--orientation", o, "--mode", "max")
+    assert code == 0
+    assert out == (GOLDEN / f"extremal_max_{n}_{s}_{o}.json").read_text()
 
 
 def test_kappa2_command(tmp_path, capsys):

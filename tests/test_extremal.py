@@ -10,7 +10,8 @@ import pytest
 from dtu import cf
 from dtu.cf import Orientation
 from dtu.extremal import (CapExceededError, ExtremalInstance, InfeasibleError,
-                          M3Case, balanced_max, brute_extrema, count_words,
+                          M3Case, _base_lists, _rotation_continuants,
+                          balanced_max, brute_extrema, count_words,
                           m3_parameters, max_construct, min_construct,
                           normalize_m4, reduce_m3)
 
@@ -293,6 +294,48 @@ def test_balanced_max_is_argmax_over_arrangements():
         best = max(cf.continuant(sum(p, ()))
                    for p in set(itertools.permutations(blocks)))
         assert cf.continuant(w) == best
+
+
+def all_layouts_max(inst):
+    """balanced_max by building every rotation of every base list as a word
+    and scoring each with its own continuant."""
+    layouts = [lst[shift:] + lst[:shift] for lst in _base_lists(inst)
+               for shift in range(len(lst))]
+    best = max((sum(lst, ()) for lst in layouts),
+               key=lambda w: (cf.continuant(w), [-x for x in w]))
+    return best if inst.orientation is PHI else cf.reverse(best)
+
+
+def test_balanced_max_matches_all_layouts_oracle():
+    checked = 0
+    for n in range(2, 25, 2):
+        for s in range(4 * n, 9 * n + 10):
+            for o in (PHI, TAU):
+                inst = ExtremalInstance(n, s, o)
+                try:
+                    want = all_layouts_max(inst)
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        balanced_max(inst)
+                    continue
+                assert balanced_max(inst) == want
+                checked += 1
+    assert checked == 1800
+
+
+def test_balanced_max_scores_layouts_without_continuants(monkeypatch):
+    # at (400, 3401) there are 200 x 200 layouts; scoring each by a
+    # continuant of its word would cost O(n) apiece
+    inst = ExtremalInstance(400, 3401)
+    scores = [v for lst in _base_lists(inst) for v in _rotation_continuants(lst)]
+    calls = []
+    for name in ("continuant", "_continuant"):
+        real = getattr(cf, name)
+        monkeypatch.setattr(cf, name,
+                            lambda seq, real=real: calls.append(1) or real(seq))
+    balanced_max(inst)
+    assert len(scores) == 200 * 200
+    assert len(calls) <= scores.count(max(scores))
 
 
 def test_max_construct_examples_and_regimes():
