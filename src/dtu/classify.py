@@ -202,6 +202,18 @@ def c734_word(p: int, q: int) -> Quotients:
     return _assemble(_mechanical_blocks((7, 3), (7, 4), q - p, p))
 
 
+def _run_node(near, far, k: int, near_left: bool):
+    """The node k*near + far of a Stern-Brocot run, as (p, q, word).
+
+    Its word is the endpoint words concatenated, the left one first (the
+    standard factorization of Christoffel words at Farey neighbours): near*k
+    + far when near is the left endpoint, far + near*k otherwise.
+    """
+    (p, q, word), (fp, fq, fword) = near, far
+    return (k * p + fp, k * q + fq,
+            word * k + fword if near_left else fword + word * k)
+
+
 def kappa2_bracket(eps: Fraction) -> KappaBracket:
     """Certified enclosure of the upper threshold constant kappa2.
 
@@ -211,6 +223,8 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
     continued fraction is found by a doubling gallop plus binary refinement;
     the loop stops once the density gap (half the kappa gap) is at most eps.
     Runs after the two anchors take at most ~2 log2(1/eps) classifications.
+    Endpoints are nodes (p, q, word): only the anchors' words come from
+    c734_word, and every later word is its endpoints' words concatenated.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -218,71 +232,55 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
 
     trace: list[BracketStep] = []
 
-    def verdict(p: int, q: int) -> Classification:
+    def verdict(node) -> Classification:
         # a Stern-Brocot descent never meets a density twice
-        v = classify_verdict(PeriodicCF((), c734_word(p, q)))
+        p, q, word = node
+        v = classify_verdict(PeriodicCF._of_valid((), word))
         trace.append(BracketStep(len(trace) + 1, Fraction(p, q),
                                  2 * q, v.kappa, v.classification))
         return v.classification
 
+    def narrow(a, b) -> bool:
+        # neighbours p/q < p'/q' have p'q - pq' = 1, so their gap is 1/(qq')
+        return a[1] * b[1] * eps >= 1
+
     # family anchors, classified during initialization (not bisection steps)
-    lo_d, hi_d = (0, 1), (1, 1)
-    anchor_lo = classify(PeriodicCF((), c734_word(0, 1)))
-    anchor_hi = classify(PeriodicCF((), c734_word(1, 1)))
-    if anchor_lo is not Classification.DERIV_INFINITY or \
-            anchor_hi is not Classification.DERIV_ZERO:
+    lo, hi = (0, 1, c734_word(0, 1)), (1, 1, c734_word(1, 1))
+    if classify(PeriodicCF((), lo[2])) is not Classification.DERIV_INFINITY or \
+            classify(PeriodicCF((), hi[2])) is not Classification.DERIV_ZERO:
         raise AssertionError("family anchors do not bracket the threshold")
 
-    def gap(lo, hi) -> Fraction:
-        return Fraction(hi[0], hi[1]) - Fraction(lo[0], lo[1])
-
-    while gap(lo_d, hi_d) > eps:
-        # one digit: a maximal run of mediant steps toward one side
-        med = (lo_d[0] + hi_d[0], lo_d[1] + hi_d[1])
-        v = verdict(*med)
-        toward_lo = v is Classification.DERIV_ZERO
-        lo0, hi0 = lo_d, hi_d
-        if toward_lo:
-            cand = lambda k: (k * lo0[0] + hi0[0], k * lo0[1] + hi0[1])
-            target = Classification.DERIV_ZERO
-        else:
-            cand = lambda k: (k * hi0[0] + lo0[0], k * hi0[1] + lo0[1])
-            target = Classification.DERIV_INFINITY
+    while not narrow(lo, hi):
+        # one digit: the mediant's verdict names the endpoint `near` that the
+        # run k*near + far approaches; the run keeps that verdict up to some k
+        inside = _run_node(lo, hi, 1, True)
+        target = verdict(inside)
+        near_left = target is Classification.DERIV_ZERO
+        near, far = (lo, hi) if near_left else (hi, lo)
         k = 1
-        early = None
-        while True:
-            k2 = 2 * k
-            v2 = verdict(*cand(k2))
-            if v2 is not target:
-                lo_k, hi_k = k, k2
+        while True:  # gallop: k = 2, 4, ...
+            out_k = 2 * k
+            outside = _run_node(near, far, out_k, near_left)
+            if verdict(outside) is not target:
                 break
-            k = k2
-            if toward_lo and gap(lo_d, cand(k)) <= eps:
-                early = (lo_d, cand(k))
+            k, inside = out_k, outside
+            if narrow(near, inside):
+                # early stop: near, the run's limit, is already close enough
+                outside = near
                 break
-            if not toward_lo and gap(cand(k), hi_d) <= eps:
-                early = (cand(k), hi_d)
-                break
-        if early is not None:
-            lo_d, hi_d = early
-            break
-        while hi_k - lo_k > 1:
-            mid = (lo_k + hi_k) // 2
-            if verdict(*cand(mid)) is target:
-                lo_k = mid
+        while out_k - k > 1:  # bisect for the last k that keeps the verdict
+            mid = (k + out_k) // 2
+            node = _run_node(near, far, mid, near_left)
+            if verdict(node) is target:
+                k, inside = mid, node
             else:
-                hi_k = mid
-        if toward_lo:
-            hi_d, lo_d = cand(lo_k), cand(hi_k)
-        else:
-            lo_d, hi_d = cand(lo_k), cand(hi_k)
+                out_k, outside = mid, node
+        lo, hi = (outside, inside) if near_left else (inside, outside)
 
-    lo_word = c734_word(*lo_d)
-    hi_word = c734_word(*hi_d)
     return KappaBracket(
-        lo=13 + 2 * Fraction(*lo_d),
-        hi=13 + 2 * Fraction(*hi_d),
-        witness_lo=PeriodicCF((), lo_word),
-        witness_hi=PeriodicCF((), hi_word),
+        lo=13 + 2 * Fraction(lo[0], lo[1]),
+        hi=13 + 2 * Fraction(hi[0], hi[1]),
+        witness_lo=PeriodicCF._of_valid((), lo[2]),
+        witness_hi=PeriodicCF._of_valid((), hi[2]),
         trace=tuple(trace),
     )

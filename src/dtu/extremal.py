@@ -28,7 +28,8 @@ class InfeasibleError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """The word count |M(n, S)| exceeds the configured cap."""
+    """A requested size exceeds its cap: the target sum S, or the word count
+    |M(n, S)| of an exhaustive search."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class ExtremalInstance:
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError("length must be a positive even integer")
         if self.s > DEFAULT_SUM_CAP:
-            raise ValueError(f"target sum exceeds cap {DEFAULT_SUM_CAP}")
+            raise CapExceededError(f"target sum exceeds cap {DEFAULT_SUM_CAP}")
 
     @property
     def pairs(self) -> int:

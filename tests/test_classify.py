@@ -1,5 +1,7 @@
 """Derivative classification, growth rates, envelopes, threshold bracketing."""
 
+import importlib
+import math
 import random
 from fractions import Fraction
 
@@ -259,6 +261,59 @@ def test_kappa2_verdict_monotone_along_trace():
     infs = [s.density for s in br.trace
             if s.classification is Classification.DERIV_INFINITY]
     assert max(infs) < min(zeros)
+
+
+def test_c734_words_factor_at_farey_neighbours():
+    # the Christoffel factorization the kappa2 descent builds its words by:
+    # for Farey neighbours a/b < c/d the word at (a+c)/(b+d) is the word at
+    # a/b followed by the word at c/d
+    def neighbours(lo, hi):
+        (a, b), (c, d) = lo, hi
+        if b + d > 120:
+            return
+        yield lo, hi
+        yield from neighbours(lo, (a + c, b + d))
+        yield from neighbours((a + c, b + d), hi)
+
+    pairs = list(neighbours((0, 1), (1, 1)))
+    # one pair per mediant: every reduced fraction in (0, 1) of denominator <= 120
+    assert len(pairs) == sum(1 for q in range(2, 121) for p in range(1, q)
+                             if math.gcd(p, q) == 1)
+    for (a, b), (c, d) in pairs:
+        assert c734_word(a + c, b + d) == c734_word(a, b) + c734_word(c, d)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 50), Fraction(1, 500),
+                                 Fraction(1, 10 ** 4), Fraction(1, 10 ** 6)])
+def test_kappa2_witnesses_are_the_endpoint_words(eps):
+    br = kappa2_bracket(eps)
+    for end, witness in ((br.lo, br.witness_lo), (br.hi, br.witness_hi)):
+        density = (end - 13) / 2
+        assert witness == PeriodicCF(
+            (), c734_word(density.numerator, density.denominator))
+
+
+def test_kappa2_bracket_builds_and_validates_each_word_once(monkeypatch):
+    # the package re-exports the function classify, which shadows the module
+    classify_module = importlib.import_module("dtu.classify")
+    calls = {"c734_word": 0, "check_quotients": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(classify_module, "c734_word",
+                        counted("c734_word", classify_module.c734_word))
+    monkeypatch.setattr(cf, "check_quotients",
+                        counted("check_quotients", cf.check_quotients))
+    br = kappa2_bracket(Fraction(1, 10 ** 6))
+    assert len(br.trace) == 24
+    # only the two anchors are built by c734_word; each anchor is validated
+    # by PeriodicCF (preperiod and period) and by its period matrix
+    assert calls["c734_word"] <= 2
+    assert calls["check_quotients"] <= len(br.trace) + 2 * 3
 
 
 def test_f_monotonicity_at_n8():

@@ -19,7 +19,8 @@ from dtu.verify import report_markdown, verify_suite
 
 # byte-exact CLI outputs recorded before verdicts were decided in integers
 # (kappa2_eps1e-6*: before period matrices became balanced products;
-# extremal_max_*: before balanced_max scored rotations by block products)
+# extremal_max_*: before balanced_max scored rotations by block products;
+# kappa2_eps1e-7*: before the kappa2 descent built words by concatenation)
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -136,18 +137,21 @@ def test_kappa2_command(tmp_path, capsys):
     assert trace_path.read_text() == (GOLDEN / "kappa2_trace.json").read_text()
 
 
-def test_deep_kappa2_output_is_pinned(tmp_path, capsys):
-    # periods up to 5,026 quotients, so each period matrix is a product
+@pytest.mark.parametrize("epsilon, stem, longest", [
+    ("1/1000000", "kappa2_eps1e-6", 5026),
+    ("1/10000000", "kappa2_eps1e-7", 17480),
+], ids=["1e-6", "1e-7"])
+def test_deep_kappa2_output_is_pinned(tmp_path, capsys, epsilon, stem, longest):
+    # periods of thousands of quotients, so each period matrix is a product
     # of many leaves
     trace_path = tmp_path / "trace.json"
-    code, out, _ = run(capsys, "kappa2", "--epsilon", "1/1000000",
+    code, out, _ = run(capsys, "kappa2", "--epsilon", epsilon,
                        "--trace", str(trace_path))
     assert code == 0
     assert max(step["period_length"]
-               for step in json.loads(trace_path.read_text())) == 5026
-    assert out == (GOLDEN / "kappa2_eps1e-6.json").read_text()
-    assert trace_path.read_text() == \
-        (GOLDEN / "kappa2_eps1e-6_trace.json").read_text()
+               for step in json.loads(trace_path.read_text())) == longest
+    assert out == (GOLDEN / f"{stem}.json").read_text()
+    assert trace_path.read_text() == (GOLDEN / f"{stem}_trace.json").read_text()
 
 
 def test_exit_codes(capsys):
@@ -173,6 +177,11 @@ def test_exit_codes(capsys):
                        "--mode", "brute")
     assert code == 2
     assert "1124662532499 words exceed the cap" in err
+    # so is a target sum over its cap, whatever the mode
+    code, out, err = run(capsys, "extremal", "--n", "4", "--s", "2000000",
+                         "--mode", "max")
+    assert code == 2 and out == ""
+    assert err == "error: target sum exceeds cap 1000000\n"
     with pytest.raises(SystemExit):
         main(["eval", "--help"])
 

@@ -51,6 +51,10 @@ def test_instance_validation():
         ExtremalInstance(3, 10)
     with pytest.raises(ValueError):
         ExtremalInstance(0, 10)
+    # the target sum has its own cap, reported as a cap, not a usage error
+    with pytest.raises(CapExceededError, match="target sum exceeds cap 1000000"):
+        ExtremalInstance(4, 2_000_000)
+    assert ExtremalInstance(4, 1_000_000).s == 1_000_000
     assert not ExtremalInstance(4, 5).feasible
     with pytest.raises(InfeasibleError):
         brute_extrema(ExtremalInstance(4, 5))
