@@ -28,8 +28,9 @@ class InfeasibleError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A requested size exceeds its cap: the target sum S, or the word count
-    |M(n, S)| of an exhaustive search."""
+    """A requested size exceeds its cap: the target sum S, the word count
+    |M(n, S)| of an exhaustive search, or the Farey order of a
+    `geval.sample_farey` table."""
 
 
 @dataclass(frozen=True)
@@ -98,24 +99,58 @@ class Extrema:
     count: int
 
 
-def _pairs(cost: int, w1: int, w2: int) -> list:
-    """All pairs (p1, p2) with w1*p1 + w2*p2 == cost, in position order."""
-    return [(p1, (cost - w1 * p1) // w2) for p1 in range(1, (cost - w2) // w1 + 1)
-            if (cost - w1 * p1) % w2 == 0]
+def _contenders(cost: int, phi: bool, sign: int) -> list:
+    """The pairs of weighted cost `cost` that can still give the smallest
+    (sign = 1) or largest (sign = -1) continuant, in position order: at most
+    two of them.
+
+    A state (r0, r1) becomes (r0', r1') under the pair, and a completion R
+    then gives K(R) (r0' + r1' t), where t = K(R minus its first quotient) /
+    K(R) lies in [0, 1) (t = 0 when R is empty).  Every state has
+    rho = r1/r0 in [0, 1): the root is (1, 0), and r0' - r1' >= r0 after
+    each pair.  On one cost line c = cost, r0' + r1' t is a strictly concave
+    quadratic in p1: leading coefficient -r0/2 and vertex c/2 - rho/2 + t
+    for PHI (p1 + 2 p2 = c), -2 r0 and (c - 2 rho + t)/4 for TAU
+    (2 p1 + p2 = c).  So the minimum lies at an end of the p1 lattice, and
+    the maximum at the lattice points nearest the vertex, whatever rho and t
+    are: c - 2 <= 2 p1 <= c + 3 for PHI, c - 3 <= 4 p1 <= c + 2 for TAU.
+    Every other pair is strictly worse than one of these for every
+    completion, so it is never optimal and never tied.
+    """
+    if phi:  # p1 = cost (mod 2)
+        w1, w2, lo, hi, step = 1, 2, 2 - cost % 2, cost - 2, 2
+        near, far = -(-(cost - 2) // 2), (cost + 3) // 2
+    else:
+        w1, w2, lo, hi, step = 2, 1, 1, (cost - 1) // 2, 1
+        near, far = -(-(cost - 3) // 4), (cost + 2) // 4
+    if sign > 0:
+        p1s = (lo, hi) if lo < hi else (lo,)
+    else:
+        p1s = range(max(lo, near + (lo - near) % step), min(hi, far) + 1, step)
+        assert p1s, f"no pair of cost {cost} near the vertex"
+    return [(p1, (cost - w1 * p1) // w2) for p1 in p1s]
 
 
 def _pareto(states: list) -> list:
-    """The states not weakly dominated by another, best first, each as
-    (r0, r1, prefix + (p1, p2)): after an ascending sort, a candidate
-    (r0, r1, prefix, p1, p2) survives only if r1 is smaller than that of every
-    state kept before it.  Every prefix at one level has the same length, so
-    the sort orders (prefix, p1, p2) as it would the extended prefix, and only
-    the survivors' prefixes are built."""
+    """The states that can still win, best first, each as
+    (r0, r1, prefix + (p1, p2)).
+
+    A frontier state still has at least one pair to place, so a completion
+    weighs it by r0 + r1 t with t in (0, 1) strictly.  After an ascending
+    sort every earlier state has an r0 no larger, so a candidate
+    (r0, r1, prefix, p1, p2) survives only if r0 + r1 is smaller than that of
+    every state kept before it; a dropped line lies strictly above a kept one
+    on all of (0, 1), or equals it with a lexicographically smaller prefix.
+    Every prefix at one level has the same length, so the sort orders
+    (prefix, p1, p2) as it would the extended prefix, and only the survivors'
+    prefixes are built."""
     states.sort()
     r0, r1, prefix, p1, p2 = states[0]
     keep = [(r0, r1, prefix + (p1, p2))]
+    low = r0 + r1
     for r0, r1, prefix, p1, p2 in states:
-        if r1 < keep[-1][1]:
+        if r0 + r1 < low:
+            low = r0 + r1
             keep.append((r0, r1, prefix + (p1, p2)))
     return keep
 
@@ -126,27 +161,33 @@ def _extreme(m: int, s: int, phi: bool, sign: int) -> tuple[int, Quotients]:
 
     A pair (p1, p2) maps the prefix row vector (r0, r1) to
     (r0(p1p2+1) + r1p2, r0p1 + r1), starting from (1, 0); the finished word's
-    continuant is r0.  Any completion adds r0 and r1 with coefficients >= 1,
-    so at the same level and budget a weakly worse vector never wins, and of
-    two equal vectors the lexicographically larger prefix never wins the tie.
-    States hold sign*(r0, r1) and the prefix, so one ascending sort and one
-    sweep leave that frontier.
+    continuant is r0.  Two exact rules prune it, each dropping only
+    candidates that are strictly worse for every completion (or tie with a
+    lexicographically smaller word): each state meets at most two pairs per
+    cost, by concavity along the cost line (`_contenders`), and a state
+    survives only if its line r0 + r1 t is not above another's on
+    t in (0, 1) (`_pareto`).  States hold sign*(r0, r1) and the prefix, so
+    one ascending sort and one sweep leave that frontier.
     """
-    w1, w2 = (1, 2) if phi else (2, 1)
+    # the pairs each cost offers before the last pair; with m = 1 there is
+    # no such pair, and S may run to the sum cap
+    offer = ({c: _contenders(c, phi, sign) for c in range(3, s - 3 * m + 4)}
+             if m > 1 else {})
     frontier = {s: [(sign, 0, ())]}  # remaining budget -> states
     for left in range(m - 1, 0, -1):  # pairs still to place after this one
-        grown: dict = {}
-        for budget, states in frontier.items():
-            for cost in range(3, budget - 3 * left + 1):
-                out = grown.setdefault(budget - cost, [])
-                for p1, p2 in _pairs(cost, w1, w2):
-                    out.extend((r0 * (p1 * p2 + 1) + r1 * p2, r0 * p1 + r1,
-                                prefix, p1, p2) for r0, r1, prefix in states)
-        frontier = {budget: _pareto(states) for budget, states in grown.items()}
+        # each remaining budget's candidates are built and pruned in turn,
+        # so only one budget's candidates are alive at once
+        frontier = {rest: _pareto([(r0 * (p1 * p2 + 1) + r1 * p2, r0 * p1 + r1,
+                                    prefix, p1, p2)
+                                   for budget, states in frontier.items()
+                                   if budget - rest >= 3
+                                   for p1, p2 in offer[budget - rest]
+                                   for r0, r1, prefix in states])
+                    for rest in range(3 * left, max(frontier) - 2)}
     # the last pair spends the remaining budget exactly
     value, prefix, p1, p2 = min((r0 * (p1 * p2 + 1) + r1 * p2, prefix, p1, p2)
                                 for budget, states in frontier.items()
-                                for p1, p2 in _pairs(budget, w1, w2)
+                                for p1, p2 in _contenders(budget, phi, sign)
                                 for r0, r1, prefix in states)
     return sign * value, prefix + (p1, p2)
 
@@ -157,8 +198,13 @@ def brute_extrema(inst: ExtremalInstance, cap: int = DEFAULT_BRUTE_CAP) -> Extre
     Ties break to the lexicographically smallest sequence.  Raises
     CapExceededError when |M(n, S)| exceeds `cap`; the count is a closed
     sum, established before any search.  The search is a plain-integer
-    Pareto-frontier DP over prefix row vectors, which visits at most
-    |M(n, S)| states per level.
+    Pareto-frontier DP over prefix row vectors that builds at most 2
+    candidates per state and cost: the continuant is strictly concave in p1
+    along a cost line, so only the ends of the p1 lattice (minimum) or the
+    lattice points nearest its vertex (maximum) can win.  A state survives
+    only if no other state at its level and budget is at most as large on
+    every line r0 + r1 t, t in (0, 1).  Both rules drop only candidates that
+    are strictly worse for every completion, so the result is exact.
     """
     _require_feasible(inst)
     total = count_words(inst)

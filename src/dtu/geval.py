@@ -18,6 +18,7 @@ from typing import Union
 
 from . import cf
 from .cf import CFConvention, Orientation, PeriodicCF
+from .extremal import CapExceededError
 from .golden import GOLDEN_ONE, GOLDEN_ZERO, GoldenScalar
 
 DEFAULT_FAREY_DEPTH_CAP = 512
@@ -203,7 +204,7 @@ def sample_farey(lam: Lambda, depth: int,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > depth_cap:
-        raise ValueError(f"depth {depth} exceeds cap {depth_cap}")
+        raise CapExceededError(f"depth {depth} exceeds cap {depth_cap}")
     lam_v, com_v, zero, one = _field(lam)
     out: list[tuple[Fraction, ExactScalar]] = [(Fraction(0), zero)]
     # in-order walk of the mediant tree restricted to denominators <= depth:

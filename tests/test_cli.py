@@ -207,8 +207,9 @@ def test_deterministic_outputs(capsys):
 
 def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("DTU_FAREY_DEPTH_CAP", "4")
-    code, _, err = run(capsys, "sample", "--lambda", "half", "--depth", "64")
-    assert code == 1
+    code, out, err = run(capsys, "sample", "--lambda", "half", "--depth", "64")
+    assert code == 2 and out == ""
+    assert err == "error: depth 64 exceeds cap 4\n"
     monkeypatch.setenv("DTU_BRUTE_CAP", "10")
     code, _, err = run(capsys, "extremal", "--n", "4", "--s", "16",
                        "--mode", "brute")

@@ -10,10 +10,10 @@ import pytest
 from dtu import cf
 from dtu.cf import Orientation
 from dtu.extremal import (CapExceededError, ExtremalInstance, InfeasibleError,
-                          M3Case, _base_lists, _rotation_continuants,
-                          balanced_max, brute_extrema, count_words,
-                          m3_parameters, max_construct, min_construct,
-                          normalize_m4, reduce_m3)
+                          M3Case, _base_lists, _contenders,
+                          _rotation_continuants, balanced_max, brute_extrema,
+                          count_words, m3_parameters, max_construct,
+                          min_construct, normalize_m4, reduce_m3)
 
 PHI, TAU = Orientation.PHI, Orientation.TAU
 
@@ -88,6 +88,88 @@ def test_brute_matches_naive_enumeration():
         (bv, bs), (wv, ws) = naive_extrema(n, s, o)
         e = brute_extrema(ExtremalInstance(n, s, o))
         assert (e.min_value, e.min_seq, e.max_value, e.max_seq) == (bv, bs, wv, ws)
+
+
+def all_pairs(cost, w1, w2):
+    """All pairs (p1, p2) with w1*p1 + w2*p2 == cost, in position order."""
+    return [(p1, (cost - w1 * p1) // w2) for p1 in range(1, (cost - w2) // w1 + 1)
+            if (cost - w1 * p1) % w2 == 0]
+
+
+def weakly_pareto(states):
+    """The states whose (r0, r1) no other state weakly dominates, as
+    (r0, r1, prefix + (p1, p2)), best first."""
+    states.sort()
+    r0, r1, prefix, p1, p2 = states[0]
+    keep = [(r0, r1, prefix + (p1, p2))]
+    for r0, r1, prefix, p1, p2 in states:
+        if r1 < keep[-1][1]:
+            keep.append((r0, r1, prefix + (p1, p2)))
+    return keep
+
+
+def all_pairs_extreme(m, s, phi, sign):
+    """The Pareto-frontier DP without the concavity rule: every state meets
+    every pair of every cost, and the frontier keeps every vector that is
+    not weakly dominated in both coordinates."""
+    w1, w2 = (1, 2) if phi else (2, 1)
+    frontier = {s: [(sign, 0, ())]}
+    for left in range(m - 1, 0, -1):
+        grown = {}
+        for budget, states in frontier.items():
+            for cost in range(3, budget - 3 * left + 1):
+                out = grown.setdefault(budget - cost, [])
+                for p1, p2 in all_pairs(cost, w1, w2):
+                    out.extend((r0 * (p1 * p2 + 1) + r1 * p2, r0 * p1 + r1,
+                                prefix, p1, p2) for r0, r1, prefix in states)
+        frontier = {budget: weakly_pareto(states)
+                    for budget, states in grown.items()}
+    value, prefix, p1, p2 = min((r0 * (p1 * p2 + 1) + r1 * p2, prefix, p1, p2)
+                                for budget, states in frontier.items()
+                                for p1, p2 in all_pairs(budget, w1, w2)
+                                for r0, r1, prefix in states)
+    return sign * value, prefix + (p1, p2)
+
+
+def test_brute_matches_all_pairs_oracle():
+    # every instance with n <= 12 and at most 2e4 words (n = 2, whose count
+    # grows only linearly in S, up to S = 200), both orientations
+    checked = 0
+    for n in range(2, 13, 2):
+        for s in itertools.count(3 * n // 2):
+            if s > 200 or count_words(ExtremalInstance(n, s)) > 2 * 10 ** 4:
+                break
+            for o in (PHI, TAU):
+                e = brute_extrema(ExtremalInstance(n, s, o))
+                want = [all_pairs_extreme(n // 2, s, o is PHI, sign)
+                        for sign in (1, -1)]
+                assert [(e.min_value, e.min_seq), (e.max_value, e.max_seq)] == want
+                checked += 1
+    assert checked == 672
+
+
+def test_contenders_hold_every_extreme_pair():
+    # a state (1, rho) under a pair (p1, p2), then completed with weight t:
+    # (p1 p2 + 1 + rho p2) + (p1 + rho) t; a state (r0, r1) scales this by
+    # r0.  Less the rho t that every pair shares, and times the common
+    # denominator d of rho and t, the values are exact integers.
+    grid = [Fraction(k, 8) for k in range(8)] + [Fraction(99, 100)]
+    for phi, (w1, w2) in ((True, (1, 2)), (False, (2, 1))):
+        for cost in range(3, 121):
+            pairs = all_pairs(cost, w1, w2)
+            low, high = _contenders(cost, phi, 1), _contenders(cost, phi, -1)
+            assert len(low) <= 2 and len(high) <= 2
+            assert set(low) <= set(pairs) and set(high) <= set(pairs)
+            for rho in grid:
+                for t in grid:
+                    d = math.lcm(rho.denominator, t.denominator)
+                    a, b = int(rho * d), int(t * d)
+                    values = [d * (p1 * p2 + 1) + a * p2 + b * p1
+                              for p1, p2 in pairs]
+                    lo, hi = min(values), max(values)
+                    for pair, v in zip(pairs, values):
+                        assert v != lo or pair in low, (phi, cost, rho, t)
+                        assert v != hi or pair in high, (phi, cost, rho, t)
 
 
 def test_count_matches_enumeration():

@@ -9,6 +9,7 @@ import pytest
 
 from dtu import cf
 from dtu.cf import CFConvention, PeriodicCF
+from dtu.extremal import CapExceededError
 from dtu.geval import (CertifiedInterval, LambdaKind, g_finite_series,
                        g_interval, g_mediant, question_mark, sample_farey)
 from dtu.golden import GoldenScalar
@@ -165,5 +166,5 @@ def test_sample_farey_examples_and_cap():
     tau_table = dict(sample_farey(LambdaKind.TAU, 3))
     for x, g in tau_table.items():
         assert g == GoldenScalar(1) - table3[1 - x]
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceededError, match="depth 10 exceeds cap 5"):
         sample_farey(LambdaKind.HALF, 10, depth_cap=5)
