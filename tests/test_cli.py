@@ -20,7 +20,9 @@ from dtu.verify import report_markdown, verify_suite
 # byte-exact CLI outputs recorded before verdicts were decided in integers
 # (kappa2_eps1e-6*: before period matrices became balanced products;
 # extremal_max_*: before balanced_max scored rotations by block products;
-# kappa2_eps1e-7*: before the kappa2 descent built words by concatenation)
+# kappa2_eps1e-7*: before the kappa2 descent built words by concatenation;
+# eval_cf_*, verify_report.*: before `eval --x-is-cf` went through g_mediant
+# and the verify report lost its optional bracket)
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -52,6 +54,17 @@ def test_eval_cf_input(capsys):
                        "--x-is-cf")
     assert code == 0
     assert out.splitlines()[0] == "2-1*phi"
+
+
+@pytest.mark.parametrize("lam", ["half", "phi-inv", "tau", "2/7"])
+def test_eval_cf_output_is_pinned(capsys, lam):
+    # a non-canonical sequence: [0; 3,2,4,1] = [0; 3,2,5] = 11/38
+    stem = "eval_cf_" + lam.replace("/", "_")
+    for fmt, ext in (("text", "txt"), ("json", "json")):
+        code, out, _ = run(capsys, "eval", "--lambda", lam, "--x", "3,2,4,1",
+                           "--x-is-cf", "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"{stem}.{ext}").read_text()
 
 
 def test_sample_csv(capsys):
@@ -317,6 +330,16 @@ def test_verify_command_and_fault_injection(tmp_path, capsys):
     fails = [line for line in out.splitlines() if "| FAIL |" in line]
     assert len(fails) == 1
     assert "orientation-duality" in fails[0]
+
+
+def test_verify_report_is_pinned(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--output", str(tmp_path))
+    assert code == 0
+    assert out == (GOLDEN / "verify_report.md").read_text()
+    for name, golden in (("report.md", "verify_report.md"),
+                         ("report.json", "verify_report.json"),
+                         ("kappa2_trace.json", "kappa2_trace.json")):
+        assert (tmp_path / name).read_text() == (GOLDEN / golden).read_text()
 
 
 def test_report_renders_bracket_endpoints_unreduced():
