@@ -147,9 +147,8 @@ class EnvelopeBound:
     interval: CertifiedInterval
 
 
-def envelope(prefix, o: Orientation, side: EnvelopeSide,
-             width: Fraction = Fraction(1, 10 ** 12)) -> EnvelopeBound:
-    """Envelope value for a convergent prefix.
+def envelope(prefix, o: Orientation, side: EnvelopeSide) -> EnvelopeBound:
+    """Envelope value for a convergent prefix, enclosed to width 1e-12.
 
     LOWER is q_t q_{t-1} / phi^(S_t + 7) for the (1,2,...) weights and
     / phi^(S_t + 9) for (2,1,...); UPPER is q_t^2 / phi^(S_t - 5).
@@ -165,7 +164,8 @@ def envelope(prefix, o: Orientation, side: EnvelopeSide,
         numerator = q_t * q_t
         exponent = s - 5
     exact = GoldenScalar.phi_power(-exponent) * numerator
-    return EnvelopeBound(exact, CertifiedInterval(*_golden_enclosure(exact, width)))
+    return EnvelopeBound(exact, CertifiedInterval(
+        *_golden_enclosure(exact, Fraction(1, 10 ** 12))))
 
 
 # -- kappa2 bracketing ----------------------------------------------------------

@@ -23,8 +23,7 @@ from .encode import (decimal_str, exact_str, fraction_str, parse_fraction,
 from .extremal import (DEFAULT_BRUTE_CAP, CapExceededError, ExtremalInstance,
                        InfeasibleError, brute_extrema, max_construct,
                        min_construct)
-from .geval import (DEFAULT_FAREY_DEPTH_CAP, LambdaKind, g_finite_series,
-                    g_mediant, sample_farey)
+from .geval import DEFAULT_FAREY_DEPTH_CAP, LambdaKind, g_mediant, sample_farey
 from .verify import (kappa2_payload, report_json, report_markdown, trace_json,
                      verify_suite)
 
@@ -51,13 +50,6 @@ def _parse_lambda(text: str):
     return parse_fraction(text)  # geval checks that it lies in (0, 1)
 
 
-def _parse_orientation(text: str) -> Orientation:
-    try:
-        return Orientation(text)
-    except ValueError:
-        raise ValueError(f"orientation must be phi or tau, got {text!r}")
-
-
 def _env_cap(name: str, default: int) -> int:
     """The positive integer in DTU_<name>, or `default` when it is unset."""
     var = "DTU_" + name
@@ -82,13 +74,8 @@ def _emit(text: str, path):
 
 def _cmd_eval(args) -> int:
     lam = _parse_lambda(args.lam)
-    if args.x_is_cf:
-        seq = parse_seq(args.x)
-        value = g_finite_series(lam, seq)
-        x = cf.value_of(seq)
-    else:
-        x = parse_fraction(args.x)
-        value = g_mediant(lam, x)
+    x = cf.value_of(parse_seq(args.x)) if args.x_is_cf else parse_fraction(args.x)
+    value = g_mediant(lam, x)
     if args.format == "json":
         payload = {"lambda": args.lam, "x": fraction_str(x),
                    "exact": exact_str(value), "decimal": decimal_str(value)}
@@ -111,8 +98,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_classify(args) -> int:
     period = parse_seq(args.period)
-    preperiod = parse_seq(args.preperiod) if args.preperiod else ()
-    o = _parse_orientation(args.orientation)
+    preperiod = parse_seq(args.preperiod)
+    o = Orientation(args.orientation)
     verdict = classify_verdict(PeriodicCF(preperiod, period), o)
     cert = verdict.certificate
     payload = {
@@ -135,7 +122,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    o = _parse_orientation(args.orientation)
+    o = Orientation(args.orientation)
     inst = ExtremalInstance(args.n, args.s, o)
     payload = {"n": args.n, "s": args.s, "orientation": o.value,
                "mode": args.mode}
@@ -171,15 +158,14 @@ def _cmd_kappa2(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_suite(inject_fault=args.inject_fault)
+    report = verify_suite()
     md = report_markdown(report)
     if args.output:
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.md").write_text(md)
         (out / "report.json").write_text(report_json(report))
-        if report.bracket is not None:
-            (out / "kappa2_trace.json").write_text(trace_json(report.bracket))
+        (out / "kappa2_trace.json").write_text(trace_json(report.bracket))
     sys.stdout.write(md)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
@@ -208,14 +194,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="derivative verdict for a periodic point")
     p.add_argument("--period", required=True, help="quotients a1,a2,...")
     p.add_argument("--preperiod", default="", help="optional quotients")
-    p.add_argument("--orientation", default="phi", help="phi | tau")
+    p.add_argument("--orientation", choices=("phi", "tau"), default="phi")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("extremal", help="extremal continuants at fixed (n, S)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--orientation", default="phi", help="phi | tau")
+    p.add_argument("--orientation", choices=("phi", "tau"), default="phi")
     p.add_argument("--mode", choices=("min", "max", "brute"), required=True)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_extremal)
@@ -228,8 +214,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--output", help="directory for report artifacts")
-    p.add_argument("--inject-fault", default=None,
-                   help="flip the named check (report plumbing test)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .golden import GoldenScalar
 from .surd import QuadraticSurd
 
+_DIGITS = 30  # significant digits of decimal_str
 _FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _GOLDEN_RE = re.compile(
     r"^(?P<a>[+-]?\d+(?:/\d+)?)?"
@@ -90,9 +91,12 @@ def seq_str(seq) -> str:
 
 
 def parse_seq(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.strip().split(",") if p != ""]
+    """The quotients of "a1,a2,..."; "" is the empty sequence, and an empty
+    item anywhere else is malformed."""
+    if not text.strip():
+        return ()
     try:
-        seq = tuple(int(p) for p in parts)
+        seq = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed quotient sequence: {text!r}") from exc
     if any(a < 1 for a in seq):
@@ -109,22 +113,22 @@ def exact_str(value) -> str:
     return fraction_str(Fraction(value))
 
 
-def decimal_str(value, digits: int = 30) -> str:
-    """Approximate decimal rendering with exactly `digits` significant digits.
+def decimal_str(value) -> str:
+    """Approximate decimal rendering with exactly 30 significant digits.
 
     The value is enclosed to well below one unit of the last digit before
     rounding, so the printed digits are stable and deterministic.
     """
     if isinstance(value, (GoldenScalar, QuadraticSurd)):
-        bits = 4 * (digits + 20)
+        bits = 4 * (_DIGITS + 20)
         lo, hi = value.bounds(bits)
         approx = (lo + hi) / 2
     else:
         approx = Fraction(value)
     with localcontext() as ctx:
-        ctx.prec = digits + 5
+        ctx.prec = _DIGITS + 5
         dec = Decimal(approx.numerator) / Decimal(approx.denominator)
         if dec == 0:
-            return "0." + "0" * (digits - 1)
-        quantum = Decimal(1).scaleb(dec.adjusted() - digits + 1)
+            return "0." + "0" * (_DIGITS - 1)
+        quantum = Decimal(1).scaleb(dec.adjusted() - _DIGITS + 1)
         return str(dec.quantize(quantum))

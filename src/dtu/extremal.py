@@ -35,7 +35,12 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExtremalInstance:
-    """Length n (even), target weighted sum S, and orientation."""
+    """Length n (even), target weighted sum S, and orientation.
+
+    Construction rejects an odd or nonpositive length (ValueError), a target
+    sum over DEFAULT_SUM_CAP (CapExceededError) and one below the all-ones
+    floor 3n/2 (InfeasibleError), so every instance names a nonempty M(n, S).
+    """
 
     n: int
     s: int
@@ -46,6 +51,9 @@ class ExtremalInstance:
             raise ValueError("length must be a positive even integer")
         if self.s > DEFAULT_SUM_CAP:
             raise CapExceededError(f"target sum exceeds cap {DEFAULT_SUM_CAP}")
+        if self.s < 3 * self.n // 2:
+            raise InfeasibleError(f"S={self.s} below the all-ones floor"
+                                  f" {3 * self.n // 2} for n={self.n}")
 
     @property
     def pairs(self) -> int:
@@ -54,16 +62,6 @@ class ExtremalInstance:
     @property
     def per_pair(self) -> Fraction:
         return Fraction(2 * self.s, self.n)
-
-    @property
-    def feasible(self) -> bool:
-        return self.s >= 3 * self.n // 2
-
-
-def _require_feasible(inst: ExtremalInstance):
-    if not inst.feasible:
-        raise InfeasibleError(
-            f"S={inst.s} below the all-ones floor {3 * inst.n // 2} for n={inst.n}")
 
 
 def count_words(inst: ExtremalInstance) -> int:
@@ -75,10 +73,12 @@ def count_words(inst: ExtremalInstance) -> int:
     N = S - 3m is the surplus over the all-ones floor: the sum over
     k = 0..N//2 of C(m-1+k, m-1) C(m-1+r, m-1) with r = N - 2k.  Each
     binomial is updated from the previous term by its ratio, and every
-    division is exact.
+    division is exact.  With one pair every term is 1, so the count is
+    (S-1)//2.
     """
-    _require_feasible(inst)
     m = inst.pairs
+    if m == 1:
+        return (inst.s - 1) // 2
     r = inst.s - 3 * m
     a, b = 1, comb(m - 1 + r, m - 1)
     total = b
@@ -206,7 +206,6 @@ def brute_extrema(inst: ExtremalInstance, cap: int = DEFAULT_BRUTE_CAP) -> Extre
     every line r0 + r1 t, t in (0, 1).  Both rules drop only candidates that
     are strictly worse for every completion, so the result is exact.
     """
-    _require_feasible(inst)
     total = count_words(inst)
     if total > cap:
         raise CapExceededError(f"{total} words exceed the cap of {cap}")
@@ -227,7 +226,6 @@ def min_construct(inst: ExtremalInstance) -> Quotients:
     position into 2.  Among the fixed candidate placements the exact smallest
     continuant is returned (lexicographic tie-break).
     """
-    _require_feasible(inst)
     n, o = inst.n, inst.orientation
     delta = inst.s - 3 * n // 2
     heavy = cf.heavy_positions(n, o)
@@ -294,6 +292,12 @@ class M3Case(enum.Enum):
     HIGH = "high"
 
 
+# per case: the light values' offsets from 2a and the heavy values' from a
+_M3_OFFSETS = {M3Case.LOW: ((-1, 0), (0,)),
+               M3Case.MID: ((0, 1), (0,)),
+               M3Case.HIGH: ((1,), (0, 1))}
+
+
 @dataclass(frozen=True)
 class M3Shape:
     """Value windows of a three-value word class with per-pair sums around 4a."""
@@ -307,24 +311,16 @@ class M3Shape:
 
     @property
     def light_values(self) -> tuple[int, ...]:
-        a = self.a
-        return {M3Case.LOW: (2 * a - 1, 2 * a),
-                M3Case.MID: (2 * a, 2 * a + 1),
-                M3Case.HIGH: (2 * a + 1,)}[self.case]
+        return tuple(2 * self.a + d for d in _M3_OFFSETS[self.case][0])
 
     @property
     def heavy_values(self) -> tuple[int, ...]:
-        a = self.a
-        return {M3Case.LOW: (a,),
-                M3Case.MID: (a,),
-                M3Case.HIGH: (a, a + 1)}[self.case]
+        return tuple(self.a + d for d in _M3_OFFSETS[self.case][1])
 
     @property
     def per_pair_range(self) -> tuple[int, int]:
-        a = self.a
-        return {M3Case.LOW: (4 * a - 1, 4 * a),
-                M3Case.MID: (4 * a, 4 * a + 1),
-                M3Case.HIGH: (4 * a + 1, 4 * a + 3)}[self.case]
+        light, heavy = self.light_values, self.heavy_values
+        return light[0] + 2 * heavy[0], light[-1] + 2 * heavy[-1]
 
 
 def m3_parameters(per_pair: Fraction) -> M3Shape:
@@ -487,31 +483,23 @@ def _base_lists(inst: ExtremalInstance) -> list:
     """The block lists whose rotations `balanced_max` compares: the
     mechanical arrangement of the block multiset, or, with an auxiliary
     block, that arrangement with the auxiliary block in each possible place."""
-    _require_feasible(inst)
     if inst.per_pair < 8:
         raise ValueError("balanced construction requires per-pair sums >= 8")
     m = inst.pairs
     shape = m3_parameters(inst.per_pair)
-    a = shape.a
-    if shape.case is M3Case.LOW:
-        b0, b1, step = (2 * a - 1, a), (2 * a, a), 1
-    elif shape.case is M3Case.MID:
-        b0, b1, step = (2 * a, a), (2 * a + 1, a), 1
-    else:
-        b0, b1, step = (2 * a + 1, a), (2 * a + 1, a + 1), 2
-
-    pp0 = b0[0] + 2 * b0[1]
-    rem = inst.s - m * pp0
+    light, heavy = shape.light_values, shape.heavy_values
+    b0, b1 = (light[0], heavy[0]), (light[-1], heavy[-1])
+    low, high = shape.per_pair_range
+    step = high - low
+    rem = inst.s - m * low
     special = None
     ordinary = m
-    if rem < 0:
-        raise InfeasibleError("per-pair sum below the shape floor")
-    if step == 2 and rem % 2 == 1:
-        special = (2 * a + 2, a)
+    if rem % step:  # sums step by 2: an odd unit goes to b0's light value
+        special = (b0[0] + 1, b0[1])
         ordinary = m - 1
         rem -= 1
-    k, leftover = divmod(rem, step)
-    if leftover or not 0 <= k <= ordinary:
+    k = rem // step
+    if not 0 <= k <= ordinary:
         raise InfeasibleError(
             f"S={inst.s} is not representable with shape {shape} blocks")
 
@@ -564,7 +552,6 @@ def max_construct(inst: ExtremalInstance) -> MaxConstruction:
     as uncertified.  It raises the heavy positions round-robin and puts an
     odd unit on one light position, so it is already a window form (both
     weight classes have spread <= 1)."""
-    _require_feasible(inst)
     if inst.per_pair >= 8:
         return MaxConstruction(balanced_max(inst), True)
     n, o = inst.n, inst.orientation

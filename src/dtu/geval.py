@@ -140,13 +140,6 @@ class CertifiedInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, value) -> bool:
-        return value >= self.lo and value <= self.hi
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def _golden_enclosure(value: GoldenScalar, slack: Fraction) -> tuple[Fraction, Fraction]:
     bits = 64

@@ -160,14 +160,6 @@ class GoldenScalar:
 
     # -- numeric views -----------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError("value is irrational")
-        return self.a
-
     def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
         """A rational enclosure [lo, hi] of the real value, width <= 2^-bits+2.
 

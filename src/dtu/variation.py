@@ -208,13 +208,6 @@ def value_sets(seq: Sequence[int], o: Orientation) -> ValuePair:
     return ValuePair(light, heavy)
 
 
-class StepSide(enum.Enum):
-    """Which window the stepped quotient belongs to in c_bounds."""
-
-    LIGHT_STEP = "light"
-    HEAVY_STEP = "heavy"
-
-
 def step_ratio_bounds(stepped: int, neighbor: int) -> tuple[Fraction, Fraction]:
     """Exact bounds (c_l, c_r) for <P, v+1, R> / <P, v, R>.
 
@@ -230,14 +223,6 @@ def step_ratio_bounds(stepped: int, neighbor: int) -> tuple[Fraction, Fraction]:
     c_l = 1 + Fraction(1, 1) / (stepped + 2 * c1)
     c_r = 1 + Fraction(1, 1) / (stepped + 2 * c2)
     return c_l, c_r
-
-
-def c_bounds(a: int, b: int, which: StepSide) -> tuple[Fraction, Fraction]:
-    """Step-ratio bounds for the a-window (LIGHT_STEP) or b-window (HEAVY_STEP)
-    of a word whose value sets lie in ({a, a+1}, {b, b+1})."""
-    if which is StepSide.LIGHT_STEP:
-        return step_ratio_bounds(a, b)
-    return step_ratio_bounds(b, a)
 
 
 class VariationDirection(enum.Enum):

@@ -8,7 +8,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import cf
 from .cf import Orientation, PeriodicCF
@@ -37,7 +36,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class VerifyReport:
     checks: tuple[CheckResult, ...]
-    bracket: Optional[KappaBracket]
+    bracket: KappaBracket
 
     @property
     def passed(self) -> bool:
@@ -71,18 +70,11 @@ def random_low_sum_word(rng: random.Random, max_pairs: int = 6) -> tuple[int, ..
     return tuple(word)
 
 
-def verify_suite(inject_fault: Optional[str] = None) -> VerifyReport:
-    """Run every verification check and collect one row per check.
-
-    `inject_fault` flips the outcome of the named check; it exists so the
-    report/exit-code plumbing can be exercised end to end.
-    """
+def verify_suite() -> VerifyReport:
+    """Run every verification check and collect one row per check."""
     checks: list[CheckResult] = []
 
     def record(name: str, expected: str, observed: str, passed: bool):
-        if inject_fault == name:
-            passed = not passed
-            observed += " [injected fault]"
         checks.append(CheckResult(name, expected, observed, passed))
 
     # 1. the four pinned single-period verdicts
@@ -169,22 +161,21 @@ def report_markdown(report: VerifyReport) -> str:
     for c in report.checks:
         lines.append(f"| {c.name} | {c.expected} | {c.observed} | {c.status} |")
     lines.append("")
-    if report.bracket is not None:
-        b = report.bracket
-        lo_s = cf.weighted_sum(b.witness_lo.period, Orientation.PHI)
-        hi_s = cf.weighted_sum(b.witness_hi.period, Orientation.PHI)
-        lines += [
-            "## Threshold enclosure",
-            "",
-            f"- lower endpoint: {lo_s}/{len(b.witness_lo.period) // 2}"
-            f" = {fraction_str(b.lo)} (witness period `{seq_str(b.witness_lo.period)}`,"
-            f" derivative +infinity)",
-            f"- upper endpoint: {hi_s}/{len(b.witness_hi.period) // 2}"
-            f" = {fraction_str(b.hi)} (witness period `{seq_str(b.witness_hi.period)}`,"
-            f" derivative 0)",
-            f"- bisection steps: {len(b.trace)}",
-            "",
-        ]
+    b = report.bracket
+    lo_s = cf.weighted_sum(b.witness_lo.period, Orientation.PHI)
+    hi_s = cf.weighted_sum(b.witness_hi.period, Orientation.PHI)
+    lines += [
+        "## Threshold enclosure",
+        "",
+        f"- lower endpoint: {lo_s}/{len(b.witness_lo.period) // 2}"
+        f" = {fraction_str(b.lo)} (witness period `{seq_str(b.witness_lo.period)}`,"
+        f" derivative +infinity)",
+        f"- upper endpoint: {hi_s}/{len(b.witness_hi.period) // 2}"
+        f" = {fraction_str(b.hi)} (witness period `{seq_str(b.witness_hi.period)}`,"
+        f" derivative 0)",
+        f"- bisection steps: {len(b.trace)}",
+        "",
+    ]
     lines.append(f"Overall: {'PASS' if report.passed else 'FAIL'}")
     lines.append("")
     return "\n".join(lines)
@@ -196,9 +187,8 @@ def report_json(report: VerifyReport) -> str:
                     "observed": c.observed, "status": c.status}
                    for c in report.checks],
         "passed": report.passed,
+        "kappa2": kappa2_payload(report.bracket),
     }
-    if report.bracket is not None:
-        payload["kappa2"] = kappa2_payload(report.bracket)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

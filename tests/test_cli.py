@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dtu
+from dtu import cf
 from dtu.cli import main
 from dtu.encode import (decimal_str, parse_fraction, parse_golden, parse_seq,
                         parse_surd)
@@ -199,6 +200,29 @@ def test_exit_codes(capsys):
         main(["eval", "--help"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--period", "7,3", "--orientation", "sideways"],
+    ["extremal", "--n", "4", "--s", "16", "--mode", "max",
+     "--orientation", "sideways"],
+])
+def test_orientation_must_be_phi_or_tau(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "sideways" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--period", "7,,4"],
+    ["classify", "--period", "7,4,"],
+    ["classify", "--period", "7,3", "--preperiod", ",2"],
+    ["eval", "--lambda", "half", "--x", ",7", "--x-is-cf"],
+])
+def test_empty_quotient_items_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: malformed quotient sequence")
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
@@ -310,7 +334,7 @@ def test_main_restores_the_int_str_limit(capsys):
     assert sys.get_int_max_str_digits() == before
 
 
-def test_verify_command_and_fault_injection(tmp_path, capsys):
+def test_verify_command_and_fault_injection(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "report"
     code, out, _ = run(capsys, "verify", "--output", str(out_dir))
     assert code == 0
@@ -323,9 +347,9 @@ def test_verify_command_and_fault_injection(tmp_path, capsys):
     trace = json.loads((out_dir / "kappa2_trace.json").read_text())
     assert len(trace) == payload["kappa2"]["steps"]
 
-    # injected fault: exactly one FAIL row, exit code 3
-    code, out, _ = run(capsys, "verify", "--inject-fault",
-                       "orientation-duality")
+    # a broken reversal fails only the duality check: one FAIL row, exit 3
+    monkeypatch.setattr(cf, "reverse", tuple)
+    code, out, _ = run(capsys, "verify")
     assert code == 3
     fails = [line for line in out.splitlines() if "| FAIL |" in line]
     assert len(fails) == 1

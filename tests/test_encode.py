@@ -55,6 +55,12 @@ def test_seq_round_trip():
         parse_seq("1,0,2")
     with pytest.raises(ValueError):
         parse_seq("1,x")
+    # an empty item is malformed wherever it sits; only "" is empty
+    for text in ("7,,4", "7,4,", ",7", ",", " , "):
+        with pytest.raises(ValueError, match="malformed quotient sequence"):
+            parse_seq(text)
+    assert parse_seq("") == () and parse_seq(seq_str(())) == ()
+    assert parse_seq(" 7, 4 ") == (7, 4)
 
 
 def test_decimal_renders_30_significant_digits():

@@ -55,11 +55,11 @@ def test_instance_validation():
     with pytest.raises(CapExceededError, match="target sum exceeds cap 1000000"):
         ExtremalInstance(4, 2_000_000)
     assert ExtremalInstance(4, 1_000_000).s == 1_000_000
-    assert not ExtremalInstance(4, 5).feasible
-    with pytest.raises(InfeasibleError):
-        brute_extrema(ExtremalInstance(4, 5))
-    with pytest.raises(InfeasibleError):
-        min_construct(ExtremalInstance(4, 5))
+    # below the all-ones floor 3n/2, rejected when built, whatever the mode
+    with pytest.raises(InfeasibleError,
+                       match="S=5 below the all-ones floor 6 for n=4"):
+        ExtremalInstance(4, 5)
+    assert ExtremalInstance(4, 6).s == 6
 
 
 def test_brute_examples():
@@ -216,6 +216,15 @@ def test_count_ratio_updates_match_fresh_binomials():
     cases += [(4, 16), (10, 60), (40, 4000), (400, 6000), (2, 10 ** 5)]
     for n, s in cases:
         assert count_words(ExtremalInstance(n, s)) == comb_sum_count(n, s)
+
+
+def test_count_words_one_pair_closed_form():
+    # one pair: every term of the sum is 1, so the count is (S-1)//2
+    for s in range(3, 401):
+        want = (s - 1) // 2
+        assert count_words(ExtremalInstance(2, s)) == want
+        assert comb_sum_count(2, s) == convolution_count(2, s) == want
+    assert count_words(ExtremalInstance(2, 10 ** 6)) == 499_999
 
 
 def test_cap_enforced():

@@ -117,3 +117,12 @@ def test_pow_and_errors():
     with pytest.raises(ValueError):
         PHI ** -1
     assert GOLDEN_ZERO + 3 == GoldenScalar(3)
+
+
+def test_negation_and_reflected_subtraction():
+    g = GoldenScalar(7, -4)
+    assert ((-g).a, (-g).b) == (-7, 4)
+    assert ((3 - g).a, (3 - g).b) == (-4, 4)
+    h = Fraction(1, 2) - PHI
+    assert (h.a, h.b) == (Fraction(1, 2), -1)
+    assert (1 - PHI) * PHI == -1

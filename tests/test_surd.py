@@ -117,3 +117,23 @@ def test_rational_surds():
     s = QuadraticSurd.from_fraction(Fraction(-3, 7))
     assert s.is_rational() and s.as_fraction() == Fraction(-3, 7)
     assert s < 0 < s + 1
+
+
+def test_mixed_comparisons_negation_and_reflected_subtraction():
+    phi = QuadraticSurd(1, 1, 2, 5)
+    # a golden or rational first argument is promoted to a surd
+    assert compare_values(GoldenScalar(0, 1), phi) == 0
+    assert compare_values(GoldenScalar(2), phi) == 1
+    assert compare_values(Fraction(3, 2), phi) == -1
+    assert compare_values(Fraction(13, 8), phi) == 1
+    assert compare_values(1, phi) == -1
+    assert phi <= phi and phi >= phi
+    assert phi <= 2 and not phi >= 2
+    assert phi >= Fraction(8, 5) and not phi <= Fraction(8, 5)
+    neg = -phi
+    assert (neg.p, neg.q, neg.r, neg.d) == (-1, -1, 2, 5)
+    # int - surd: 3 - phi = (5 - sqrt5)/2 and 1 - phi = (1 - sqrt5)/2
+    for k, want in ((3, (5, -1, 2, 5)), (1, (1, -1, 2, 5))):
+        got = k - phi
+        assert (got.p, got.q, got.r, got.d) == want
+    assert (1 - phi) * phi == -1

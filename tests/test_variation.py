@@ -9,9 +9,9 @@ import pytest
 
 from dtu import cf
 from dtu.cf import Orientation
-from dtu.variation import (OneTwoKind, OneTwoVariation, Reflection, StepSide,
+from dtu.variation import (OneTwoKind, OneTwoVariation, Reflection,
                            UnitVariation, VariationDirection,
-                           apply_12_variation, apply_unit_variation, c_bounds,
+                           apply_12_variation, apply_unit_variation,
                            certificate_inequality, is_abs_increasing_12,
                            is_increasing_unit, kan_delta, reflect,
                            step_ratio_bounds, value_sets, vertex)
@@ -167,14 +167,14 @@ def test_weighted_sum_preserved_by_unit_variation():
 
 
 def test_c_bounds_exact_values():
-    cl, cr = c_bounds(1, 3, StepSide.LIGHT_STEP)
+    cl, cr = step_ratio_bounds(1, 3)
     assert cl == Fraction(31, 19)
     assert cr == Fraction(12, 7)
+    # a and b both range over 1..11, so both window orders are covered
     for a in range(1, 12):
         for b in range(1, 12):
-            for side in StepSide:
-                cl, cr = c_bounds(a, b, side)
-                assert 1 < cl <= cr < 2
+            cl, cr = step_ratio_bounds(a, b)
+            assert 1 < cl <= cr < 2
 
 
 def test_c_bounds_bracket_measured_ratios():
