@@ -5,29 +5,59 @@ lambda = 1/2 and the golden-field cases lambda = 1/phi, 1/phi^2), continuant
 comparison calculus, extremal continuants at fixed length and weighted sum,
 derivative classification of quadratic irrationals, and certified bracketing
 of the derivative threshold constants.
+
+The names below are imported from their modules on first use (PEP 562), so
+`import dtu` loads no submodule.  `dtu.classify` is the function, as
+`from dtu import classify` gives it; the module is
+`importlib.import_module("dtu.classify")`.
 """
 
-from .cf import (CFConvention, Orientation, PeriodicCF, cf_of, continuant,
-                 periodic_value, quotient_matrix, reverse, value_of,
-                 weighted_sum)
-from .classify import (Classification, KappaBracket, classify,
-                       classify_verdict, growth_rate, kappa, kappa2_bracket)
-from .extremal import (ExtremalInstance, balanced_max, brute_extrema,
-                       max_construct, min_construct)
-from .geval import (CertifiedInterval, LambdaKind, g_finite_series,
-                    g_interval, g_mediant, question_mark, sample_farey)
-from .golden import PHI, GoldenScalar
-from .surd import QuadraticSurd, compare_values
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CFConvention", "CertifiedInterval", "Classification", "ExtremalInstance",
-    "GoldenScalar", "KappaBracket", "LambdaKind", "Orientation", "PHI",
-    "PeriodicCF", "QuadraticSurd", "balanced_max", "brute_extrema", "cf_of",
-    "classify", "classify_verdict", "compare_values", "continuant",
-    "g_finite_series", "g_interval", "g_mediant", "growth_rate", "kappa",
-    "kappa2_bracket", "max_construct", "min_construct", "periodic_value",
-    "question_mark", "quotient_matrix", "reverse", "sample_farey", "value_of",
-    "weighted_sum",
-]
+# each re-exported name and the module that defines it
+_HOMES = {
+    "cf": ("CFConvention", "Orientation", "PeriodicCF", "cf_of", "continuant",
+           "periodic_value", "quotient_matrix", "reverse", "value_of",
+           "weighted_sum"),
+    "classify": ("Classification", "KappaBracket", "classify",
+                 "classify_verdict", "growth_rate", "kappa", "kappa2_bracket"),
+    "extremal": ("ExtremalInstance", "balanced_max", "brute_extrema",
+                 "max_construct", "min_construct"),
+    "geval": ("CertifiedInterval", "LambdaKind", "g_finite_series",
+              "g_interval", "g_mediant", "question_mark", "sample_farey"),
+    "golden": ("PHI", "GoldenScalar"),
+    "surd": ("QuadraticSurd", "compare_values"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """Importing a submodule binds it on the package; where a re-exported
+    name has the submodule's name (`classify`), the name keeps its object."""
+
+    def __setattr__(self, name, value):
+        if name in _HOME and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

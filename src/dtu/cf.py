@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .errors import InputError
 from .surd import QuadraticSurd
 
 Quotients = tuple[int, ...]
@@ -42,10 +43,10 @@ def check_quotients(seq: Sequence[int], allow_empty: bool = True) -> Quotients:
     """Validate and freeze a quotient sequence; every item must be >= 1."""
     out = tuple(seq)
     if not allow_empty and not out:
-        raise ValueError("empty quotient sequence not allowed here")
+        raise InputError("empty quotient sequence not allowed here")
     for a in out:
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise ValueError(f"partial quotients must be integers >= 1, got {a!r}")
+            raise InputError(f"partial quotients must be integers >= 1, got {a!r}")
     return out
 
 
@@ -161,6 +162,25 @@ def light_positions(n: int, o: Orientation) -> tuple[int, ...]:
 def heavy_positions(n: int, o: Orientation) -> tuple[int, ...]:
     """1-based weight-2 positions of a length-n word."""
     return tuple(i for i in range(1, n + 1) if o.weight(i) == 2)
+
+
+def _mechanical_blocks(common, rare, n_common: int, n_rare: int) -> list:
+    """Arrange blocks so the rare kind sits at the mechanical-word positions
+    floor((j+1) rho) - floor(j rho) = 1, rho = rare density."""
+    m = n_common + n_rare
+    out = []
+    for j in range(m):
+        take_rare = ((j + 1) * n_rare) // m - (j * n_rare) // m == 1
+        out.append(rare if take_rare else common)
+    return out
+
+
+def _assemble(blocks: list) -> Quotients:
+    """Flatten (light, heavy) pairs into the (1,2,...)-weighted position order."""
+    word = []
+    for light_v, heavy_v in blocks:
+        word.extend((light_v, heavy_v))
+    return tuple(word)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cf
-from .cf import Orientation, PeriodicCF, Quotients
-from .extremal import _assemble, _mechanical_blocks
+from .cf import (Orientation, PeriodicCF, Quotients, _assemble,
+                 _mechanical_blocks)
+from .errors import InputError
 from .geval import CertifiedInterval, _golden_enclosure
 from .golden import GoldenScalar
 from .surd import QuadraticSurd, compare_values
@@ -228,7 +229,7 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
     """
     eps = Fraction(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InputError("eps must be positive")
 
     trace: list[BracketStep] = []
 

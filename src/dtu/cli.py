@@ -4,6 +4,9 @@ Subcommands: eval, sample, classify, extremal, kappa2, verify.  Exact values
 are printed in the package's textual encodings; decimals carry 30 significant
 digits and are approximate.  Exit codes: 0 success, 1 usage error,
 2 infeasible instance or cap exceeded, 3 verification failure.
+
+Each verb imports the modules it uses when it runs, so importing this module
+loads only dtu and dtu.errors, and a launch pays for its own verb alone.
 """
 
 from __future__ import annotations
@@ -15,17 +18,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import cf
-from .cf import Orientation, PeriodicCF
-from .classify import classify_verdict, kappa2_bracket
-from .encode import (decimal_str, exact_str, fraction_str, parse_fraction,
-                     parse_seq, seq_str, surd_str)
-from .extremal import (DEFAULT_BRUTE_CAP, CapExceededError, ExtremalInstance,
-                       InfeasibleError, brute_extrema, max_construct,
-                       min_construct)
-from .geval import DEFAULT_FAREY_DEPTH_CAP, LambdaKind, g_mediant, sample_farey
-from .verify import (kappa2_payload, report_json, report_markdown, trace_json,
-                     verify_suite)
+from .errors import CapExceededError, InfeasibleError, InputError
+
+# --help prints the docstring up to its last paragraph, which is about the
+# code (python -OO strips docstrings, and then --help has no description)
+_DESCRIPTION = __doc__ and __doc__.rsplit("\n\n", 1)[0] + "\n"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,6 +40,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_lambda(text: str):
+    from .encode import parse_fraction
+    from .geval import LambdaKind
+
     table = {"half": LambdaKind.HALF, "phi-inv": LambdaKind.PHI_INV,
              "tau": LambdaKind.TAU}
     if text in table:
@@ -59,9 +59,9 @@ def _env_cap(name: str, default: int) -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{var} must be an integer, got {raw!r}") from None
+        raise InputError(f"{var} must be an integer, got {raw!r}") from None
     if cap <= 0:
-        raise ValueError(f"{var} must be positive, got {raw!r}")
+        raise InputError(f"{var} must be positive, got {raw!r}")
     return cap
 
 
@@ -73,6 +73,11 @@ def _emit(text: str, path):
 
 
 def _cmd_eval(args) -> int:
+    from . import cf
+    from .encode import (decimal_str, exact_str, fraction_str, parse_fraction,
+                         parse_seq)
+    from .geval import g_mediant
+
     lam = _parse_lambda(args.lam)
     x = cf.value_of(parse_seq(args.x)) if args.x_is_cf else parse_fraction(args.x)
     value = g_mediant(lam, x)
@@ -86,6 +91,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .encode import decimal_str, exact_str
+    from .geval import DEFAULT_FAREY_DEPTH_CAP, sample_farey
+
     lam = _parse_lambda(args.lam)
     cap = _env_cap("FAREY_DEPTH_CAP", DEFAULT_FAREY_DEPTH_CAP)
     table = sample_farey(lam, args.depth, depth_cap=cap)
@@ -97,6 +105,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .cf import Orientation, PeriodicCF
+    from .classify import classify_verdict
+    from .encode import (decimal_str, exact_str, fraction_str, parse_seq,
+                         seq_str, surd_str)
+
     period = parse_seq(args.period)
     preperiod = parse_seq(args.preperiod)
     o = Orientation(args.orientation)
@@ -122,7 +135,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    o = Orientation(args.orientation)
+    from . import cf
+    from .encode import decimal_str, seq_str
+    from .extremal import (DEFAULT_BRUTE_CAP, ExtremalInstance, brute_extrema,
+                           max_construct, min_construct)
+
+    o = cf.Orientation(args.orientation)
     inst = ExtremalInstance(args.n, args.s, o)
     payload = {"n": args.n, "s": args.s, "orientation": o.value,
                "mode": args.mode}
@@ -148,6 +166,10 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_kappa2(args) -> int:
+    from .classify import kappa2_bracket
+    from .encode import parse_fraction
+    from .verify import kappa2_payload, trace_json
+
     eps = parse_fraction(args.epsilon)
     bracket = kappa2_bracket(eps)
     if args.trace:
@@ -158,6 +180,9 @@ def _cmd_kappa2(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import (report_json, report_markdown, trace_json,
+                         verify_suite)
+
     report = verify_suite()
     md = report_markdown(report)
     if args.output:
@@ -171,7 +196,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="dtu", description=__doc__,
+    parser = _Parser(prog="dtu", description=_DESCRIPTION,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -244,7 +269,7 @@ def _run(argv) -> int:
     except (InfeasibleError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

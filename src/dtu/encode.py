@@ -2,7 +2,9 @@
 
 Formats: Fraction "p/q" (plain "p" when integral), GoldenScalar "a+b*phi"
 with rational a, b, QuadraticSurd "(p+q*sqrt(d))/r", quotient sequences
-"a1,a2,...".  Every emitted value re-parses to an equal value.
+"a1,a2,...".  Every emitted value re-parses to an equal value.  The parsers
+accept these forms only, with ASCII digits and a sign only as a leading "-"
+or between terms, so "+3", "1_0" and non-ASCII digits raise InputError.
 """
 
 from __future__ import annotations
@@ -11,17 +13,20 @@ import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from .errors import InputError
 from .golden import GoldenScalar
 from .surd import QuadraticSurd
 
 _DIGITS = 30  # significant digits of decimal_str
-_FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# ASCII digits only; int() alone would also take "+3", "1_0", "\u0663"
+_QUOTIENT_RE = re.compile(r"[0-9]+")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _GOLDEN_RE = re.compile(
-    r"^(?P<a>[+-]?\d+(?:/\d+)?)?"
-    r"(?:(?P<sign>[+-])?(?P<b>\d+(?:/\d+)?)\*phi)?$"
+    r"(?P<a>-?[0-9]+(?:/[0-9]+)?)?"
+    r"(?:(?P<sign>[+-])?(?P<b>[0-9]+(?:/[0-9]+)?)\*phi)?"
 )
 _SURD_RE = re.compile(
-    r"^\((?P<p>[+-]?\d+)(?P<sign>[+-])(?P<q>\d+)\*sqrt\((?P<d>\d+)\)\)/(?P<r>\d+)$"
+    r"\((?P<p>-?[0-9]+)(?P<sign>[+-])(?P<q>[0-9]+)\*sqrt\((?P<d>[0-9]+)\)\)/(?P<r>[0-9]+)"
 )
 
 
@@ -33,13 +38,13 @@ def fraction_str(x: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    m = _FRACTION_RE.match(text.strip())
+    m = _FRACTION_RE.fullmatch(text.strip())
     if not m:
-        raise ValueError(f"malformed fraction: {text!r}")
+        raise InputError(f"malformed fraction: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
     if den == 0:
-        raise ValueError(f"zero denominator: {text!r}")
+        raise InputError(f"zero denominator: {text!r}")
     return Fraction(num, den)
 
 
@@ -55,9 +60,9 @@ def parse_golden(text: str) -> GoldenScalar:
     text = text.strip().replace(" ", "")
     if "phi" not in text:
         return GoldenScalar(parse_fraction(text))
-    m = _GOLDEN_RE.match(text)
+    m = _GOLDEN_RE.fullmatch(text)
     if not m or m.group("b") is None:
-        raise ValueError(f"malformed golden scalar: {text!r}")
+        raise InputError(f"malformed golden scalar: {text!r}")
     a = parse_fraction(m.group("a")) if m.group("a") else Fraction(0)
     b = parse_fraction(m.group("b"))
     if m.group("sign") == "-":
@@ -77,9 +82,9 @@ def parse_surd(text: str) -> QuadraticSurd:
     if "sqrt" not in text:
         x = parse_fraction(text)
         return QuadraticSurd.from_fraction(x)
-    m = _SURD_RE.match(text)
-    if not m:
-        raise ValueError(f"malformed quadratic surd: {text!r}")
+    m = _SURD_RE.fullmatch(text)
+    if not m or int(m.group("r")) == 0:
+        raise InputError(f"malformed quadratic surd: {text!r}")
     q = int(m.group("q"))
     if m.group("sign") == "-":
         q = -q
@@ -95,12 +100,12 @@ def parse_seq(text: str) -> tuple[int, ...]:
     item anywhere else is malformed."""
     if not text.strip():
         return ()
-    try:
-        seq = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed quotient sequence: {text!r}") from exc
+    items = [p.strip() for p in text.split(",")]
+    if not all(_QUOTIENT_RE.fullmatch(p) for p in items):
+        raise InputError(f"malformed quotient sequence: {text!r}")
+    seq = tuple(int(p) for p in items)
     if any(a < 1 for a in seq):
-        raise ValueError(f"partial quotients must be >= 1: {text!r}")
+        raise InputError(f"partial quotients must be >= 1: {text!r}")
     return seq
 
 

@@ -16,28 +16,19 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import cf
-from .cf import Orientation, Quotients
+from .cf import Orientation, Quotients, _assemble, _mechanical_blocks
+from .errors import CapExceededError, InfeasibleError, InputError
 from .variation import VariationDirection, is_abs_increasing_12
 
 DEFAULT_BRUTE_CAP = 10_000_000
 DEFAULT_SUM_CAP = 1_000_000
 
 
-class InfeasibleError(ValueError):
-    """No word of the requested length can reach the requested weighted sum."""
-
-
-class CapExceededError(RuntimeError):
-    """A requested size exceeds its cap: the target sum S, the word count
-    |M(n, S)| of an exhaustive search, or the Farey order of a
-    `geval.sample_farey` table."""
-
-
 @dataclass(frozen=True)
 class ExtremalInstance:
     """Length n (even), target weighted sum S, and orientation.
 
-    Construction rejects an odd or nonpositive length (ValueError), a target
+    Construction rejects an odd or nonpositive length (InputError), a target
     sum over DEFAULT_SUM_CAP (CapExceededError) and one below the all-ones
     floor 3n/2 (InfeasibleError), so every instance names a nonempty M(n, S).
     """
@@ -48,7 +39,7 @@ class ExtremalInstance:
 
     def __post_init__(self):
         if self.n < 2 or self.n % 2 != 0:
-            raise ValueError("length must be a positive even integer")
+            raise InputError("length must be a positive even integer")
         if self.s > DEFAULT_SUM_CAP:
             raise CapExceededError(f"target sum exceeds cap {DEFAULT_SUM_CAP}")
         if self.s < 3 * self.n // 2:
@@ -431,25 +422,6 @@ def reduce_m3(seq: Sequence[int], o: Orientation) -> M3Result:
 
 
 # -- balanced block maximum -----------------------------------------------------
-
-
-def _mechanical_blocks(common, rare, n_common: int, n_rare: int) -> list:
-    """Arrange blocks so the rare kind sits at the mechanical-word positions
-    floor((j+1) rho) - floor(j rho) = 1, rho = rare density."""
-    m = n_common + n_rare
-    out = []
-    for j in range(m):
-        take_rare = ((j + 1) * n_rare) // m - (j * n_rare) // m == 1
-        out.append(rare if take_rare else common)
-    return out
-
-
-def _assemble(blocks: list) -> Quotients:
-    """Flatten (light, heavy) pairs into the (1,2,...)-weighted position order."""
-    word = []
-    for light_v, heavy_v in blocks:
-        word.extend((light_v, heavy_v))
-    return tuple(word)
 
 
 def _rotation_continuants(blocks: list) -> list:

@@ -18,7 +18,7 @@ from typing import Union
 
 from . import cf
 from .cf import CFConvention, Orientation, PeriodicCF
-from .extremal import CapExceededError
+from .errors import CapExceededError, InputError
 from .golden import GOLDEN_ONE, GOLDEN_ZERO, GoldenScalar
 
 DEFAULT_FAREY_DEPTH_CAP = 512
@@ -48,7 +48,7 @@ def _field(lam: Lambda):
         return half, half, Fraction(0), Fraction(1)
     value = Fraction(lam)
     if not 0 < value < 1:
-        raise ValueError(f"rational weight must lie in (0, 1), got {value}")
+        raise InputError(f"rational weight must lie in (0, 1), got {value}")
     return value, 1 - value, Fraction(0), Fraction(1)
 
 
@@ -64,7 +64,7 @@ def g_mediant(lam: Lambda, x: Fraction) -> ExactScalar:
     lam_v, com_v, zero, one = _field(lam)
     x = Fraction(x)
     if not 0 <= x <= 1:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+        raise InputError(f"x must lie in [0, 1], got {x}")
     if x == 0:
         return zero
     if x == 1:
@@ -109,7 +109,7 @@ def question_mark(x: Fraction) -> Fraction:
     """Minkowski's ?-function: dyadic-valued, equal to g at weight 1/2."""
     x = Fraction(x)
     if not 0 <= x <= 1:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+        raise InputError(f"x must lie in [0, 1], got {x}")
     if x == 0:
         return Fraction(0)
     if x == 1:
@@ -195,7 +195,7 @@ def sample_farey(lam: Lambda, depth: int,
     value once.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InputError("depth must be >= 1")
     if depth > depth_cap:
         raise CapExceededError(f"depth {depth} exceeds cap {depth_cap}")
     lam_v, com_v, zero, one = _field(lam)

@@ -11,10 +11,13 @@ import pytest
 
 import dtu
 from dtu import cf
+from dtu.classify import kappa2_bracket
 from dtu.cli import main
 from dtu.encode import (decimal_str, parse_fraction, parse_golden, parse_seq,
                         parse_surd)
-from dtu.geval import LambdaKind, g_mediant
+from dtu.errors import InputError
+from dtu.extremal import ExtremalInstance
+from dtu.geval import LambdaKind, g_mediant, question_mark, sample_farey
 from dtu.verify import report_markdown, verify_suite
 
 
@@ -223,6 +226,48 @@ def test_empty_quotient_items_are_usage_errors(capsys, argv):
     assert err.startswith("usage error: malformed quotient sequence")
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--period", "1_0,+3"],
+    ["classify", "--period", "\u0663,4"],
+    ["classify", "--period", "7,3", "--preperiod", "+2"],
+    ["eval", "--lambda", "half", "--x", "\u0663/\u0664"],
+    ["eval", "--lambda", "+1/2", "--x", "2/5"],
+    ["kappa2", "--epsilon", "\u0661/\u0663"],
+])
+def test_numbers_take_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: malformed")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse_seq("1,x"),
+    lambda: cf.check_quotients((1, 0)),
+    lambda: g_mediant(Fraction(3, 2), Fraction(1, 2)),
+    lambda: g_mediant(LambdaKind.HALF, Fraction(3, 2)),
+    lambda: question_mark(Fraction(-1)),
+    lambda: sample_farey(LambdaKind.HALF, 0),
+    lambda: kappa2_bracket(Fraction(0)),
+    lambda: ExtremalInstance(3, 10),
+], ids=["parse_seq", "check_quotients", "weight", "x", "question_mark_x",
+        "depth", "epsilon", "length"])
+def test_input_checks_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # a ValueError from inside g_mediant is a fault of the program, so it
+    # propagates instead of exiting 1 as "usage error"
+    def broken(x, convention=None):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cf, "cf_of", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["eval", "--lambda", "half", "--x", "2/5"])
+    assert "usage error" not in capsys.readouterr().err
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
@@ -300,6 +345,106 @@ def test_cli_import_leaves_numpy_out():
     # every CLI call pays its imports; numpy is a test dependency only
     proc = _python("-c", "import dtu.cli, sys; assert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def _dtu_modules_after(statement: str) -> set[str]:
+    """The dtu submodules that a fresh interpreter holds after `statement`."""
+    code = ("import contextlib, io, sys\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    {statement}\n"
+            "print(*sorted(m[4:] for m in sys.modules if m.startswith('dtu.')))")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_each_verb_loads_only_its_modules():
+    assert _dtu_modules_after("import dtu.cli") == {"cli", "errors"}
+    for argv in (["eval", "--lambda", "phi-inv", "--x", "2/5"],
+                 ["eval", "--lambda", "tau", "--x", "3,2", "--x-is-cf"]):
+        loaded = _dtu_modules_after(f"from dtu.cli import main; main({argv!r})")
+        assert {"geval", "encode"} <= loaded
+        assert not loaded & {"classify", "extremal", "variation", "verify"}
+    loaded = _dtu_modules_after(
+        "from dtu.cli import main; main(['classify', '--period', '1,2'])")
+    assert "classify" in loaded
+    assert not loaded & {"extremal", "variation", "verify"}
+    loaded = _dtu_modules_after(
+        "from dtu.cli import main; main(['kappa2', '--epsilon', '1/5'])")
+    assert {"classify", "verify"} <= loaded
+    assert not loaded & {"extremal", "variation"}
+
+
+# the package's public names by defining module, as the package listed them
+# when it imported every module eagerly
+_PUBLIC = {
+    "cf": ["CFConvention", "Orientation", "PeriodicCF", "cf_of", "continuant",
+           "periodic_value", "quotient_matrix", "reverse", "value_of",
+           "weighted_sum"],
+    "classify": ["Classification", "KappaBracket", "classify",
+                 "classify_verdict", "growth_rate", "kappa", "kappa2_bracket"],
+    "extremal": ["ExtremalInstance", "balanced_max", "brute_extrema",
+                 "max_construct", "min_construct"],
+    "geval": ["CertifiedInterval", "LambdaKind", "g_finite_series",
+              "g_interval", "g_mediant", "question_mark", "sample_farey"],
+    "golden": ["PHI", "GoldenScalar"],
+    "surd": ["QuadraticSurd", "compare_values"],
+}
+
+_API_CHECK = """
+import contextlib, importlib, io, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    {prelude}
+import dtu
+public = {public!r}
+assert dtu.__all__ == sorted(n for names in public.values() for n in names)
+assert dtu.__version__ == "0.1.0"
+for module, names in public.items():
+    home = importlib.import_module("dtu." + module)
+    for name in names:
+        assert getattr(dtu, name) is getattr(home, name), name
+namespace = {{}}
+exec("from dtu import *", namespace)
+assert set(namespace) - {{"__builtins__"}} == set(dtu.__all__)
+assert set(dtu.__all__) <= set(dir(dtu))
+from dtu import classify
+assert callable(classify) and classify.__module__ == "dtu.classify"
+"""
+
+
+@pytest.mark.parametrize("prelude", [
+    "pass",
+    "import dtu.cli",
+    "from dtu.cli import main; main(['classify', '--period', '7,4'])",
+    "importlib.import_module('dtu.classify')",
+    "import dtu.classify",
+], ids=["fresh", "cli", "classify-verb", "import_module", "import-statement"])
+def test_public_names_resolve_to_their_home_objects(prelude):
+    proc = _python("-c", _API_CHECK.format(prelude=prelude, public=_PUBLIC))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_gives_its_commented_results():
+    # run the block as written, then compare each `expression  # result` line
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    check = ("import sys\n"
+             "from fractions import Fraction\n"
+             "import dtu\n"
+             "block = sys.argv[1]\n"
+             "ns = {}\n"
+             "exec(block, ns)\n"
+             "names = {n: getattr(dtu, n) for n in dtu.__all__}\n"
+             "for line in block.splitlines():\n"
+             "    code, sep, result = line.partition('#')\n"
+             "    if sep and code.strip():\n"
+             "        got = eval(code, ns)\n"
+             "        want = eval(result, {'Fraction': Fraction, **names})\n"
+             "        assert got == want, (line, got)\n")
+    proc = _python("-c", check, block)
+    assert proc.returncode == 0, proc.stderr
+    assert block.count("#") == 5
 
 
 def test_eval_prints_values_past_the_int_str_limit():

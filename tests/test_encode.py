@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dtu.classify import c734_word, growth_rate
 from dtu.encode import (decimal_str, fraction_str, golden_str, parse_fraction,
                         parse_golden, parse_seq, parse_surd, seq_str, surd_str)
+from dtu.errors import InputError
 from dtu.golden import GoldenScalar
 from dtu.surd import QuadraticSurd
 
@@ -61,6 +62,19 @@ def test_seq_round_trip():
             parse_seq(text)
     assert parse_seq("") == () and parse_seq(seq_str(())) == ()
     assert parse_seq(" 7, 4 ") == (7, 4)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_seq, "1_0,+3"), (parse_seq, "+7,4"), (parse_seq, "\u0663,4"),
+    (parse_fraction, "+3"), (parse_fraction, "1_0/3"),
+    (parse_fraction, "\u0663/\u0664"), (parse_fraction, "--3"),
+    (parse_golden, "+1+1*phi"), (parse_golden, "1+\u0661*phi"),
+    (parse_surd, "(+1+1*sqrt(5))/2"), (parse_surd, "(1+1*sqrt(\u0665))/2"),
+    (parse_surd, "(1+1*sqrt(5))/0"),
+])
+def test_parsers_take_ascii_digits_and_a_leading_minus_only(parse, text):
+    with pytest.raises(InputError):
+        parse(text)
 
 
 def test_decimal_renders_30_significant_digits():

@@ -9,7 +9,7 @@ import pytest
 
 from dtu import cf
 from dtu.cf import CFConvention, PeriodicCF
-from dtu.extremal import CapExceededError
+from dtu.errors import CapExceededError
 from dtu.geval import (CertifiedInterval, LambdaKind, g_finite_series,
                        g_interval, g_mediant, question_mark, sample_farey)
 from dtu.golden import GoldenScalar
