@@ -20,9 +20,8 @@ __version__ = "0.1.0"
 
 # each re-exported name and the module that defines it
 _HOMES = {
-    "cf": ("CFConvention", "Orientation", "PeriodicCF", "cf_of", "continuant",
-           "periodic_value", "quotient_matrix", "reverse", "value_of",
-           "weighted_sum"),
+    "cf": ("Orientation", "PeriodicCF", "cf_of", "continuant", "periodic_value",
+           "quotient_matrix", "reverse", "value_of", "weighted_sum"),
     "classify": ("Classification", "KappaBracket", "classify",
                  "classify_verdict", "growth_rate", "kappa", "kappa2_bracket"),
     "extremal": ("ExtremalInstance", "balanced_max", "brute_extrema",

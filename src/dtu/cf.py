@@ -32,13 +32,6 @@ class Orientation(enum.Enum):
         return 1 if index % 2 == 0 else 2
 
 
-class CFConvention(enum.Enum):
-    """Normal form of a finite continued fraction: last quotient >= 2, or == 1."""
-
-    LAST_AT_LEAST_TWO = "last>=2"
-    LAST_IS_ONE = "last=1"
-
-
 def check_quotients(seq: Sequence[int], allow_empty: bool = True) -> Quotients:
     """Validate and freeze a quotient sequence; every item must be >= 1."""
     out = tuple(seq)
@@ -111,9 +104,8 @@ def cf_value(seq: Sequence[int]) -> Fraction:
     return value_of(seq) if seq else Fraction(0)
 
 
-def cf_of(x: Fraction,
-          convention: CFConvention = CFConvention.LAST_AT_LEAST_TWO) -> Quotients:
-    """Quotient sequence of a rational x in (0, 1) by Euclid's algorithm."""
+def cf_of(x: Fraction) -> Quotients:
+    """Euclid's quotients of a rational x in (0, 1); the last one is >= 2."""
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError(f"x must lie strictly inside (0, 1), got {x}")
@@ -123,10 +115,6 @@ def cf_of(x: Fraction,
         a, rem = divmod(den, num)
         seq.append(a)
         den, num = num, rem
-    # Euclid always ends with a quotient >= 2 for x in (0, 1)
-    if convention is CFConvention.LAST_IS_ONE:
-        seq[-1] -= 1
-        seq.append(1)
     return tuple(seq)
 
 

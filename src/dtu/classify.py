@@ -25,7 +25,7 @@ from . import cf
 from .cf import (Orientation, PeriodicCF, Quotients, _assemble,
                  _mechanical_blocks)
 from .errors import InputError
-from .geval import CertifiedInterval, _golden_enclosure
+from .geval import CertifiedInterval
 from .golden import GoldenScalar
 from .surd import QuadraticSurd, compare_values
 
@@ -149,7 +149,7 @@ class EnvelopeBound:
 
 
 def envelope(prefix, o: Orientation, side: EnvelopeSide) -> EnvelopeBound:
-    """Envelope value for a convergent prefix, enclosed to width 1e-12.
+    """Envelope value for a convergent prefix, enclosed to width < 2^-65.
 
     LOWER is q_t q_{t-1} / phi^(S_t + 7) for the (1,2,...) weights and
     / phi^(S_t + 9) for (2,1,...); UPPER is q_t^2 / phi^(S_t - 5).
@@ -165,8 +165,7 @@ def envelope(prefix, o: Orientation, side: EnvelopeSide) -> EnvelopeBound:
         numerator = q_t * q_t
         exponent = s - 5
     exact = GoldenScalar.phi_power(-exponent) * numerator
-    return EnvelopeBound(exact, CertifiedInterval(
-        *_golden_enclosure(exact, Fraction(1, 10 ** 12))))
+    return EnvelopeBound(exact, CertifiedInterval(*exact.bounds(64)))
 
 
 # -- kappa2 bracketing ----------------------------------------------------------

@@ -147,11 +147,11 @@ def _cmd_extremal(args) -> int:
     if args.mode == "min":
         seq = min_construct(inst)
         payload.update(sequence=seq_str(seq), certified=True)
-        value = cf.continuant(seq)
+        value = cf._continuant(seq)
     elif args.mode == "max":
         built = max_construct(inst)
         payload.update(sequence=seq_str(built.sequence), certified=built.certified)
-        value = cf.continuant(built.sequence)
+        value = cf._continuant(built.sequence)
     else:
         res = brute_extrema(inst, cap=_env_cap("BRUTE_CAP", DEFAULT_BRUTE_CAP))
         payload.update(sequence=seq_str(res.max_seq), certified=True,

@@ -2,7 +2,8 @@
 
 Formats: Fraction "p/q" (plain "p" when integral), GoldenScalar "a+b*phi"
 with rational a, b, QuadraticSurd "(p+q*sqrt(d))/r", quotient sequences
-"a1,a2,...".  Every emitted value re-parses to an equal value.  The parsers
+"a1,a2,...".  Every emitted value re-parses to an equal value.  decimal_str
+renders a number correctly rounded to 30 significant digits.  The parsers
 accept these forms only, with ASCII digits and a sign only as a leading "-"
 or between terms, so "+3", "1_0" and non-ASCII digits raise InputError.
 """
@@ -12,12 +13,15 @@ from __future__ import annotations
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InputError
 from .golden import GoldenScalar
 from .surd import QuadraticSurd
 
 _DIGITS = 30  # significant digits of decimal_str
+_BITS = 200  # precision of its first enclosure
+_GUARD = 150  # bits of |x| that its enclosures resolve
 # ASCII digits only; int() alone would also take "+3", "1_0", "\u0663"
 _QUOTIENT_RE = re.compile(r"[0-9]+")
 _FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -118,22 +122,42 @@ def exact_str(value) -> str:
     return fraction_str(Fraction(value))
 
 
-def decimal_str(value) -> str:
-    """Approximate decimal rendering with exactly 30 significant digits.
+def _exponent(x: Fraction) -> int:
+    """e with 2^(e-1) < |x| < 2^(e+1), for x != 0."""
+    return x.numerator.bit_length() - x.denominator.bit_length()
 
-    The value is enclosed to well below one unit of the last digit before
-    rounding, so the printed digits are stable and deterministic.
+
+def _abs_floor(x) -> Fraction:
+    """A lower bound on |x| for irrational x: its norm x x' over |x'|."""
+    if isinstance(x, GoldenScalar):  # x' = a + b(1 - phi), |1 - phi| < 1
+        a, b = x.a, x.b
+        return abs(a * a + a * b - b * b) / (abs(a) + abs(b))
+    p, q, r, d = x.p, x.q, x.r, x.d  # x' = (p - q sqrt(d))/r
+    return Fraction(abs(p * p - q * q * d), r * (abs(p) + abs(q) * (isqrt(d) + 1)))
+
+
+def decimal_str(value) -> str:
+    """The value correctly rounded (half-even) to 30 significant digits.
+
+    A golden or surd value x is rounded from the midpoint of an enclosure
+    narrower than 2^-150 |x|: bounds(200), or for |x| below about 2^-50 one
+    sized from an exact lower bound on |x|.  So the digits are those of x
+    unless x lies that close to a rounding tie.
     """
     if isinstance(value, (GoldenScalar, QuadraticSurd)):
-        bits = 4 * (_DIGITS + 20)
-        lo, hi = value.bounds(bits)
+        lo, hi = value.bounds(_BITS)
         approx = (lo + hi) / 2
+        # |approx| > 2^-50 leaves |x| > 2^-51, as the width is below 2^-201
+        if lo != hi and (not approx or _exponent(approx) + _BITS <= _GUARD):
+            lo, hi = value.bounds(_GUARD - _exponent(_abs_floor(value)))
+            approx = (lo + hi) / 2
     else:
         approx = Fraction(value)
     with localcontext() as ctx:
-        ctx.prec = _DIGITS + 5
+        ctx.prec = _DIGITS
         dec = Decimal(approx.numerator) / Decimal(approx.denominator)
         if dec == 0:
             return "0." + "0" * (_DIGITS - 1)
+        # the exponent of the rounded quotient: 0.99..96 rounds up to 1.00..0
         quantum = Decimal(1).scaleb(dec.adjusted() - _DIGITS + 1)
         return str(dec.quantize(quantum))

@@ -206,6 +206,14 @@ def brute_extrema(inst: ExtremalInstance, cap: int = DEFAULT_BRUTE_CAP) -> Extre
     return Extrema(min_seq, min_value, max_seq, max_value, total)
 
 
+def _checked(word: Quotients, inst: ExtremalInstance) -> Quotients:
+    """A constructed word, once it is checked to lie in M(n, S): a word
+    that does not is a fault of the construction, not of the input."""
+    if min(word) < 1 or cf._weighted_sum(word, inst.orientation) != inst.s:
+        raise AssertionError(f"constructed word is not in M({inst.n}, {inst.s})")
+    return word
+
+
 # -- direct near-minimum -------------------------------------------------------
 
 
@@ -233,9 +241,7 @@ def min_construct(inst: ExtremalInstance) -> Quotients:
         candidates = [build(heavy[0], None)]
     else:
         candidates = [build(heavy[0], light[0]), build(heavy[0], light[-1])]
-    best = min(candidates, key=lambda w: (cf._continuant(w), w))
-    assert cf.weighted_sum(best, o) == inst.s
-    return best
+    return _checked(min(candidates, key=lambda w: (cf._continuant(w), w)), inst)
 
 
 # -- window narrowing by unit variations ----------------------------------------
@@ -507,9 +513,8 @@ def balanced_max(inst: ExtremalInstance) -> Quotients:
     # blocks are pairs, so block lists compare as the words they flatten to
     best = _assemble(min(lst[shift:] + lst[:shift] for lst, shift in tied))
     if inst.orientation is not Orientation.PHI:
-        best = cf.reverse(best)
-    assert cf.weighted_sum(best, inst.orientation) == inst.s
-    return best
+        best = best[::-1]
+    return _checked(best, inst)
 
 
 @dataclass(frozen=True)
@@ -538,6 +543,4 @@ def max_construct(inst: ExtremalInstance) -> MaxConstruction:
         i += 1
     if delta:
         word[light[0] - 1] += 1
-    word = tuple(word)
-    assert cf.weighted_sum(word, o) == inst.s
-    return MaxConstruction(word, False)
+    return MaxConstruction(_checked(tuple(word), inst), False)

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Union
 
 from . import cf
-from .cf import CFConvention, Orientation, PeriodicCF
+from .cf import Orientation, PeriodicCF
 from .errors import CapExceededError, InputError
-from .golden import GOLDEN_ONE, GOLDEN_ZERO, GoldenScalar
+from .golden import GOLDEN_ONE, GOLDEN_ZERO, GoldenScalar, bits_for_width
 
 DEFAULT_FAREY_DEPTH_CAP = 512
 
@@ -114,7 +114,7 @@ def question_mark(x: Fraction) -> Fraction:
         return Fraction(0)
     if x == 1:
         return Fraction(1)
-    seq = cf.cf_of(x, CFConvention.LAST_AT_LEAST_TWO)
+    seq = cf.cf_of(x)
     total = Fraction(0)
     exponent = 0
     sign = 1
@@ -139,15 +139,6 @@ class CertifiedInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-
-def _golden_enclosure(value: GoldenScalar, slack: Fraction) -> tuple[Fraction, Fraction]:
-    bits = 64
-    while True:
-        lo, hi = value.bounds(bits)
-        if hi - lo <= slack:
-            return lo, hi
-        bits *= 2
 
 
 def g_interval(lam: LambdaKind, x: PeriodicCF, tol: Fraction) -> CertifiedInterval:
@@ -180,9 +171,9 @@ def g_interval(lam: LambdaKind, x: PeriodicCF, tol: Fraction) -> CertifiedInterv
         sign = -sign
         if term < threshold:
             break
-    slack = tol / 8
-    lo, _ = _golden_enclosure(lo_sum, slack)
-    _, hi = _golden_enclosure(hi_sum, slack)
+    bits = bits_for_width(tol / 8)
+    lo, _ = lo_sum.bounds(bits)
+    _, hi = hi_sum.bounds(bits)
     return CertifiedInterval(lo, hi)
 
 

@@ -20,6 +20,23 @@ def _fibonacci_pair(n: int) -> tuple[int, int]:
     return f, g
 
 
+def sqrt_bounds(d: int, num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Dyadic bounds s/2^k, (s+1)/2^k on sqrt(d), s = isqrt(d 4^k), for the
+    term (num/den) sqrt(d) of an enclosure, swapped when num < 0.  k pads
+    bits by 2 and by the size of num/den < 2^(num bits - den bits + 1), so
+    the term's enclosure is narrower than 2^-(bits+1)."""
+    k = bits + max(0, abs(num).bit_length() - den.bit_length()) + 2
+    s = isqrt(d << (2 * k))
+    lo, hi = Fraction(s, 1 << k), Fraction(s + 1, 1 << k)
+    return (lo, hi) if num > 0 else (hi, lo)
+
+
+def bits_for_width(width: Fraction) -> int:
+    """The least bits >= 0 with 2^-(bits+1) <= width: bounds(bits) is narrower."""
+    m = -(-width.denominator // width.numerator)  # ceil(1/width)
+    return max(0, (m - 1).bit_length() - 1)  # 2^(bits+1) >= m
+
+
 class GoldenScalar:
     """An exact element a + b*phi of Q(sqrt5), with a, b rational.
 
@@ -161,28 +178,16 @@ class GoldenScalar:
     # -- numeric views -----------------------------------------------------
 
     def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """A rational enclosure [lo, hi] of the real value, width <= 2^-bits+2.
+        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1).
 
-        The working precision adapts to the coefficient magnitude, so the
-        width bound holds even for huge Fibonacci-sized components.
+        a + b*phi = (a + b/2) + (b/2) sqrt5, enclosed by sqrt_bounds.
         """
         v = self.b / 2
         base = self.a + v
         if v == 0:
             return base, base
-        # width = |v| * 2^-k: pad k by the magnitude of v
-        k = bits + max(0, abs(v.numerator).bit_length()
-                       - v.denominator.bit_length()) + 2
-        s = isqrt(5 << (2 * k))
-        lo5 = Fraction(s, 1 << k)
-        hi5 = Fraction(s + 1, 1 << k)
-        if v > 0:
-            return base + v * lo5, base + v * hi5
-        return base + v * hi5, base + v * lo5
-
-    def __float__(self):
-        lo, hi = self.bounds(96)
-        return float((lo + hi) / 2)
+        r0, r1 = sqrt_bounds(5, v.numerator, v.denominator, bits)
+        return base + v * r0, base + v * r1
 
     def __repr__(self):
         return f"GoldenScalar({self.a!r}, {self.b!r})"

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .golden import GoldenScalar
+from .golden import GoldenScalar, sqrt_bounds
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -176,21 +176,15 @@ class QuadraticSurd:
     # -- certified comparison ------------------------------------------------
 
     def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """A rational enclosure [lo, hi] of the real value, width <= 2^-bits+2.
+        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1).
 
-        The working precision adapts to the coefficient magnitude.
+        (p + q sqrt(d))/r, enclosed by golden.sqrt_bounds.
         """
         if self.q == 0:
             x = Fraction(self.p, self.r)
             return x, x
-        k = bits + max(0, abs(self.q).bit_length() - self.r.bit_length()) + 2
-        s = isqrt(self.d << (2 * k))
-        lo = Fraction(s, 1 << k)
-        hi = Fraction(s + 1, 1 << k)
-        if self.q < 0:
-            lo, hi = hi, lo
-        return ((self.p + self.q * lo) / self.r,
-                (self.p + self.q * hi) / self.r)
+        r0, r1 = sqrt_bounds(self.d, self.q, self.r, bits)
+        return (self.p + self.q * r0) / self.r, (self.p + self.q * r1) / self.r
 
     def algebraically_equal(self, other) -> bool:
         """Exact equality by coefficient comparison, without interval work."""
@@ -255,10 +249,6 @@ class QuadraticSurd:
 
     def __hash__(self):
         return hash((self.p, self.q, self.r, self.d))
-
-    def __float__(self):
-        lo, hi = self.bounds(96)
-        return float((lo + hi) / 2)
 
     def __repr__(self):
         return f"QuadraticSurd({self.p}, {self.q}, {self.r}, {self.d})"

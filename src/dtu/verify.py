@@ -47,14 +47,14 @@ def _random_word(rng: random.Random, pairs: int, lo: int, hi: int) -> tuple[int,
     return tuple(rng.randint(lo, hi) for _ in range(2 * pairs))
 
 
-def random_low_sum_word(rng: random.Random, max_pairs: int = 6) -> tuple[int, ...]:
-    """A random even period with per-pair weighted sum strictly below 4.
+def random_low_sum_word(rng: random.Random) -> tuple[int, ...]:
+    """A random period of 1 to 6 pairs with per-pair weighted sum below 4.
 
     Built constructively: all ones, then a random sub-budget of n/2 - 1 extra
     units spent on positions (weight-1 bumps cost 1, weight-2 bumps cost 2),
     which keeps the weighted sum below 2n.
     """
-    pairs = rng.randint(1, max_pairs)
+    pairs = rng.randint(1, 6)
     n = 2 * pairs
     word = [1] * n
     budget = rng.randint(0, n // 2 - 1) if n >= 4 else 0

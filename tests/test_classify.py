@@ -169,6 +169,21 @@ def test_envelope_values():
     assert env_tau.exact == GoldenScalar.phi_power(-(18 + 9)) * 203
 
 
+def test_envelope_encloses_its_value_once(monkeypatch):
+    calls = []
+    bounds = GoldenScalar.bounds
+
+    def counted(self, bits=64):
+        calls.append(bits)
+        return bounds(self, bits)
+
+    monkeypatch.setattr(GoldenScalar, "bounds", counted)
+    env = envelope((7, 4, 7, 3), Orientation.TAU, EnvelopeSide.UPPER)
+    assert calls == [64]
+    assert env.interval.width < Fraction(1, 2 ** 65)
+    assert GoldenScalar(env.interval.lo) < env.exact < GoldenScalar(env.interval.hi)
+
+
 def test_envelope_verdict_coherence():
     # DERIV_ZERO: upper envelope -> 0 along prefix powers (geometric decay);
     # DERIV_INFINITY: lower envelope -> infinity (geometric growth), checked

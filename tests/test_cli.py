@@ -85,6 +85,18 @@ def test_sample_csv(capsys):
     assert len(third[3].replace(".", "").lstrip("0")) >= 30
 
 
+def test_sample_decimals_are_positive_with_30_significant_digits(capsys):
+    # g_tau maps [0, 1] onto itself; at x = 1/200 it is about 6.7e-84
+    code, out, _ = run(capsys, "sample", "--lambda", "tau", "--depth", "200")
+    assert code == 0
+    decimals = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    assert len(decimals) == 12233
+    assert not [d for d in decimals if d.startswith("-")]
+    digits = {len(d.split("E")[0].replace(".", "").lstrip("0")) for d in decimals[1:]}
+    assert decimals[0] == "0." + "0" * 29 and digits == {30}
+    assert decimals[1] == "6.65149364539833850630871698042E-84"
+
+
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", "--period", "7,4")
     assert code == 0
@@ -259,12 +271,25 @@ def test_input_checks_raise_input_error(call):
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     # a ValueError from inside g_mediant is a fault of the program, so it
     # propagates instead of exiting 1 as "usage error"
-    def broken(x, convention=None):
+    def broken(x):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(cf, "cf_of", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["eval", "--lambda", "half", "--x", "2/5"])
+    assert "usage error" not in capsys.readouterr().err
+
+
+def test_construction_fault_is_not_a_usage_error(capsys, monkeypatch):
+    # a constructed word holding a 0 is a fault of the construction: it
+    # propagates instead of exiting 1 as "usage error"
+    from dtu import extremal
+
+    assemble = extremal._assemble
+    monkeypatch.setattr(extremal, "_assemble",
+                        lambda blocks: (0,) + assemble(blocks)[1:])
+    with pytest.raises(AssertionError):
+        main(["extremal", "--n", "200", "--s", "1701", "--mode", "max"])
     assert "usage error" not in capsys.readouterr().err
 
 
@@ -378,9 +403,8 @@ def test_each_verb_loads_only_its_modules():
 # the package's public names by defining module, as the package listed them
 # when it imported every module eagerly
 _PUBLIC = {
-    "cf": ["CFConvention", "Orientation", "PeriodicCF", "cf_of", "continuant",
-           "periodic_value", "quotient_matrix", "reverse", "value_of",
-           "weighted_sum"],
+    "cf": ["Orientation", "PeriodicCF", "cf_of", "continuant", "periodic_value",
+           "quotient_matrix", "reverse", "value_of", "weighted_sum"],
     "classify": ["Classification", "KappaBracket", "classify",
                  "classify_verdict", "growth_rate", "kappa", "kappa2_bracket"],
     "extremal": ["ExtremalInstance", "balanced_max", "brute_extrema",
@@ -463,6 +487,7 @@ def test_eval_prints_values_past_the_int_str_limit():
     assert len(exact) == 41_804 and exact.endswith("*phi")
     assert decimal == decimal_str(g_mediant(LambdaKind.PHI_INV,
                                             Fraction(1, 100000)))
+    assert decimal == "2.78588151928291683971617497577E-20899"  # phi^-99999
 
 
 def test_main_restores_the_int_str_limit(capsys):

@@ -2,7 +2,9 @@
 
 import sys
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from dtu.classify import c734_word, growth_rate
 from dtu.encode import (decimal_str, fraction_str, golden_str, parse_fraction,
                         parse_golden, parse_seq, parse_surd, seq_str, surd_str)
 from dtu.errors import InputError
+from dtu.geval import LambdaKind, g_mediant
 from dtu.golden import GoldenScalar
 from dtu.surd import QuadraticSurd
 
@@ -87,6 +90,69 @@ def test_decimal_renders_30_significant_digits():
     # deterministic
     assert decimal_str(QuadraticSurd(15, 4, 1, 14)) == \
         decimal_str(QuadraticSurd(15, 4, 1, 14))
+
+
+def _reference_decimal(p: int, q: int, r: int, d: int) -> str:
+    """(p + q sqrt(d))/r rounded half-even to 30 significant digits, from a
+    2000-bit integer square root: the rendering decimal_str must give."""
+    k = 2000
+    s = isqrt(q * q * d << (2 * k))  # |q| sqrt(d) 2^k, floored
+    x = Fraction((p << k) + (s if q >= 0 else -s), r << k)
+    if x == 0:
+        return "0." + "0" * 29
+    mag = abs(x)
+    e = len(str(mag.numerator)) - len(str(mag.denominator))
+    while Fraction(10) ** e > mag:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= mag:
+        e += 1
+    digits = round(mag / Fraction(10) ** (e - 29))  # round() is half-even
+    if digits == 10 ** 30:
+        digits, e = 10 ** 29, e + 1
+    return str(Decimal((int(x < 0), tuple(map(int, str(digits))), e - 29)))
+
+
+def _reference(x) -> str:
+    if isinstance(x, QuadraticSurd):
+        return _reference_decimal(x.p, x.q, x.r, x.d)
+    if isinstance(x, Fraction):
+        return _reference_decimal(x.numerator, 0, x.denominator, 1)
+    u, v = x.a + x.b / 2, x.b / 2  # x = u + v sqrt5
+    r = u.denominator * v.denominator
+    return _reference_decimal(int(u * r), int(v * r), r, 5)
+
+
+def _significant_digits(text: str) -> int:
+    return len(text.split("E")[0].lstrip("-").replace(".", "").lstrip("0"))
+
+
+def test_decimal_is_the_correctly_rounded_value():
+    cases = []
+    # the rows of sample_farey(lam, 200) with x <= 1/140 or x >= 139/140,
+    # by g_mediant (tiny values, and values 1 - tiny that round up to 1)
+    edge = [Fraction(1, q) for q in range(140, 201)] + \
+        [Fraction(q - 1, q) for q in range(140, 201)]
+    for lam in LambdaKind:
+        cases += [g_mediant(lam, x) for x in edge]
+    cases += [GoldenScalar.phi_power(k) for k in range(-400, 401, 7)]
+    pell = [(1, 1)]  # p/q -> sqrt2, p - q sqrt2 = (1 - sqrt2)^n -> 0
+    while len(pell) < 60:
+        p, q = pell[-1]
+        pell.append((p + 2 * q, p + q))
+    surds = [QuadraticSurd(15, 4, 1, 14), QuadraticSurd(-14, 4, 7, 14),
+             QuadraticSurd(3, -1, 2, 7 * 10 ** 40),
+             QuadraticSurd(pell[-1][0], -pell[-1][1], 1, 2),
+             QuadraticSurd(-pell[-1][0], pell[-1][1], 3, 2),
+             QuadraticSurd.from_golden(GoldenScalar.phi_power(-301)),
+             growth_rate(c734_word(2, 7)).value]
+    for x in cases + surds:
+        out = decimal_str(x)
+        assert out == _reference(x), x
+        assert _significant_digits(out) == 30 or x == 0, (x, out)
+    assert decimal_str(GoldenScalar.phi_power(-300)) == \
+        "2.01237042016878006617406661025E-63"
+    assert decimal_str(g_mediant(LambdaKind.HALF, Fraction(101, 102))) == \
+        "1.00000000000000000000000000000"
 
 
 @contextmanager

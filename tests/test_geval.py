@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from dtu import cf
-from dtu.cf import CFConvention, PeriodicCF
+from dtu.cf import PeriodicCF
 from dtu.errors import CapExceededError
 from dtu.geval import (CertifiedInterval, LambdaKind, g_finite_series,
                        g_interval, g_mediant, question_mark, sample_farey)
@@ -74,8 +74,8 @@ def test_series_convention_insensitive():
         den = rng.randint(3, 200)
         num = rng.randint(1, den - 1)
         x = Fraction(num, den)
-        a = cf.cf_of(x, CFConvention.LAST_AT_LEAST_TWO)
-        b = cf.cf_of(x, CFConvention.LAST_IS_ONE)
+        a = cf.cf_of(x)
+        b = a[:-1] + (a[-1] - 1, 1)  # the last-is-one form
         for lam in (LambdaKind.PHI_INV, LambdaKind.TAU, LambdaKind.HALF):
             assert g_finite_series(lam, a) == g_finite_series(lam, b)
 
@@ -133,6 +133,21 @@ def test_interval_reflection_cross_check():
     total_lo = a.lo + b.lo
     total_hi = a.hi + b.hi
     assert total_lo <= 1 <= total_hi
+
+
+def test_interval_encloses_each_partial_sum_once(monkeypatch):
+    calls = []
+    bounds = GoldenScalar.bounds
+
+    def counted(self, bits=64):
+        calls.append(bits)
+        return bounds(self, bits)
+
+    monkeypatch.setattr(GoldenScalar, "bounds", counted)
+    tol = Fraction(1, 10 ** 30)
+    iv = g_interval(LambdaKind.PHI_INV, PeriodicCF((), (1, 2)), tol)
+    assert calls == [102, 102]  # one per endpoint, 2^-103 <= tol/8
+    assert iv.width <= tol
 
 
 def test_interval_validation():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtu.golden import GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenScalar
+from dtu.golden import (GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenScalar,
+                        bits_for_width)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 goldens = st.builds(GoldenScalar, fractions, fractions)
@@ -109,6 +110,39 @@ def test_bounds_enclose_value():
     assert g.sign() == -1
     assert lo < 0 < -lo  # sanity: enclosure is on the negative side
     assert hi < Fraction(1, 10 ** 30)
+
+
+def _random_goldens(rng):
+    """Small rational coefficients, and Fibonacci-sized ones: phi^k and
+    multiples of it for |k| up to 3000."""
+    for _ in range(60):
+        yield GoldenScalar(Fraction(rng.randint(-99, 99), rng.randint(1, 30)),
+                           Fraction(rng.choice([-1, 1]) * rng.randint(1, 99),
+                                    rng.randint(1, 30)))
+        k = rng.randint(-3000, 3000)
+        yield GoldenScalar.phi_power(k) * Fraction(rng.randint(-999, 999) or 1,
+                                                   rng.randint(1, 99))
+
+
+@pytest.mark.parametrize("bits", [1, 64, 200, 1000])
+def test_bounds_width_below_half_an_ulp_of_bits(bits):
+    for g in _random_goldens(random.Random(bits)):
+        lo, hi = g.bounds(bits)
+        assert hi - lo < Fraction(1, 2 ** (bits + 1)), g
+        assert GoldenScalar(lo) < g < GoldenScalar(hi), g  # exact comparisons
+
+
+def test_bits_for_width_is_the_least_that_suffices():
+    rng = random.Random(12)
+    widths = [Fraction(1, 10 ** 30) / 8, Fraction(1, 10 ** 12), Fraction(1, 8),
+              Fraction(1, 9), Fraction(3, 7), Fraction(1), Fraction(5)]
+    widths += [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 40))
+               for _ in range(500)]
+    for w in widths:
+        bits = bits_for_width(w)
+        assert bits >= 0 and Fraction(1, 2 ** (bits + 1)) <= w, w
+        assert bits == 0 or Fraction(1, 2 ** bits) > w, w
+    assert bits_for_width(Fraction(1, 10 ** 30) / 8) == 102
 
 
 def test_pow_and_errors():

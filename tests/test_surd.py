@@ -6,6 +6,8 @@ from math import isqrt
 
 import pytest
 
+from dtu import cf
+from dtu.cf import PeriodicCF
 from dtu.golden import GoldenScalar
 from dtu.surd import QuadraticSurd, compare_values
 
@@ -111,6 +113,35 @@ def test_comparison_against_random_decimal_oracle():
             assert (s > t) == (diff > 0)
         else:
             assert s.algebraically_equal(t) == (s == t)
+
+
+def _exceeds(x: QuadraticSurd, c: Fraction) -> bool:
+    """x > c exactly, for rational c: x - c = (u + q sqrt(d))/r with r > 0."""
+    u = x.p - c * x.r
+    if u >= 0 and x.q >= 0:
+        return u > 0 or x.q > 0
+    if u <= 0 and x.q <= 0:
+        return False
+    return (u > 0) == (u * u > x.q * x.q * x.d)
+
+
+@pytest.mark.parametrize("bits", [1, 64, 200, 1000])
+def test_bounds_width_below_half_an_ulp_of_bits(bits):
+    rng = random.Random(bits)
+    surds = []
+    for _ in range(40):
+        surds.append(QuadraticSurd(rng.randint(-10 ** 6, 10 ** 6),
+                                   rng.choice([-1, 1]) * rng.randint(1, 10 ** 6),
+                                   rng.randint(1, 10 ** 6), rng.choice([2, 3, 7, 1234567])))
+        # Fibonacci-sized coefficients, and periodic values of long periods
+        surds.append(-QuadraticSurd.from_golden(
+            GoldenScalar.phi_power(rng.randint(-3000, 3000))))
+        period = tuple(rng.randint(1, 12) for _ in range(2 * rng.randint(1, 60)))
+        surds.append(cf.periodic_value(PeriodicCF((), period)))
+    for x in surds:
+        lo, hi = x.bounds(bits)
+        assert hi - lo < Fraction(1, 2 ** (bits + 1)), x
+        assert _exceeds(x, lo) and not _exceeds(x, hi), x
 
 
 def test_rational_surds():
