@@ -25,6 +25,7 @@ from dtu.verify import report_markdown, verify_suite
 # (kappa2_eps1e-6*: before period matrices became balanced products;
 # extremal_max_*: before balanced_max scored rotations by block products;
 # kappa2_eps1e-7*: before the kappa2 descent built words by concatenation;
+# kappa2_eps1e-8*: before the kappa2 descent decided steps from node matrices;
 # eval_cf_*, verify_report.*: before `eval --x-is-cf` went through g_mediant
 # and the verify report lost its optional bracket)
 GOLDEN = Path(__file__).parent / "golden"
@@ -169,10 +170,11 @@ def test_kappa2_command(tmp_path, capsys):
 @pytest.mark.parametrize("epsilon, stem, longest", [
     ("1/1000000", "kappa2_eps1e-6", 5026),
     ("1/10000000", "kappa2_eps1e-7", 17480),
-], ids=["1e-6", "1e-7"])
+    ("1/100000000", "kappa2_eps1e-8", 48914),
+], ids=["1e-6", "1e-7", "1e-8"])
 def test_deep_kappa2_output_is_pinned(tmp_path, capsys, epsilon, stem, longest):
-    # periods of thousands of quotients, so each period matrix is a product
-    # of many leaves
+    # witnesses of thousands of quotients, built by concatenation along a
+    # descent of about 2 log2(1/eps) steps
     trace_path = tmp_path / "trace.json"
     code, out, _ = run(capsys, "kappa2", "--epsilon", epsilon,
                        "--trace", str(trace_path))
