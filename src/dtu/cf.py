@@ -17,6 +17,7 @@ from .errors import InputError
 from .surd import QuadraticSurd
 
 Quotients = tuple[int, ...]
+Matrix = tuple[int, int, int, int]  # flat 2x2 matrix (m00, m01, m10, m11)
 
 
 class Orientation(enum.Enum):
@@ -73,7 +74,7 @@ _LEAF = 32
 
 
 def _quotient_matrix(seq: Quotients, lo: int = 0,
-                     hi: int | None = None) -> tuple[int, int, int, int]:
+                     hi: int | None = None) -> Matrix:
     """quotient_matrix of the validated seq[lo:hi], unchecked, as a flat 4-tuple."""
     if hi is None:
         hi = len(seq)
@@ -87,10 +88,28 @@ def _quotient_matrix(seq: Quotients, lo: int = 0,
             m10, m11 = m10 * a + m11, m10
         return m00, m01, m10, m11
     mid = (lo + hi) // 2
-    a00, a01, a10, a11 = _quotient_matrix(seq, lo, mid)
-    b00, b01, b10, b11 = _quotient_matrix(seq, mid, hi)
+    return _matrix_product(_quotient_matrix(seq, lo, mid),
+                           _quotient_matrix(seq, mid, hi))
+
+
+def _matrix_product(a: Matrix, b: Matrix) -> Matrix:
+    """The 2x2 product a b of flat matrices."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
     return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _matrix_power(m: Matrix, k: int) -> Matrix:
+    """m^k for k >= 0 by repeated squaring: O(log k) 2x2 products."""
+    result = (1, 0, 0, 1)
+    while k:
+        if k & 1:
+            result = _matrix_product(result, m)
+        k >>= 1
+        if k:
+            m = _matrix_product(m, m)
+    return result
 
 
 def value_of(seq: Sequence[int]) -> Fraction:

@@ -104,6 +104,25 @@ def kappa(period, o: Orientation) -> Fraction:
     return Fraction(2 * cf.weighted_sum(period, o), len(period))
 
 
+_BY_SIGN = {1: Classification.DERIV_INFINITY, -1: Classification.DERIV_ZERO,
+            0: Classification.BOUNDARY}
+
+
+def _verdict_sign(trace: int, s: int) -> tuple[int, GoldenScalar, int]:
+    """Sign of lambda^2 - phi^S, with phi^S and L_S, for an even period whose
+    quotient matrix M has trace `trace` and weighted sum s.
+
+    The sign is that of tr(M^4) - L_2S (module docstring); L_S = 2a + b for
+    phi^S = a + b phi.
+    """
+    phi_s = GoldenScalar.phi_power(s)
+    lucas = int(2 * phi_s.a + phi_s.b)
+    tr_m2 = trace * trace - 2
+    sign = compare_values(tr_m2 * tr_m2 - 2,  # tr(M^4)
+                          lucas * lucas - (2 if s % 2 == 0 else -2))  # L_2S
+    return sign, phi_s, lucas
+
+
 def classify_verdict(x: PeriodicCF, o: Orientation = Orientation.PHI) -> Verdict:
     """Full classification with the exact certificate.
 
@@ -113,18 +132,8 @@ def classify_verdict(x: PeriodicCF, o: Orientation = Orientation.PHI) -> Verdict
     period = _even_period(x)
     s = cf._weighted_sum(period, o)
     rate = growth_rate(period)
-    phi_s = GoldenScalar.phi_power(s)
-    lucas = int(2 * phi_s.a + phi_s.b)
-    tr_m2 = rate.trace * rate.trace - 2
-    sign = compare_values(tr_m2 * tr_m2 - 2,  # tr(M^4)
-                          lucas * lucas - (2 if s % 2 == 0 else -2))  # L_2S
-    if sign > 0:
-        cls = Classification.DERIV_INFINITY
-    elif sign < 0:
-        cls = Classification.DERIV_ZERO
-    else:
-        cls = Classification.BOUNDARY
-    return Verdict(cls, Fraction(2 * s, len(period)), rate,
+    sign, phi_s, lucas = _verdict_sign(rate.trace, s)
+    return Verdict(_BY_SIGN[sign], Fraction(2 * s, len(period)), rate,
                    VerdictCertificate(rate.value * rate.value, s, phi_s, sign,
                                       rate.trace, lucas))
 
@@ -203,15 +212,22 @@ def c734_word(p: int, q: int) -> Quotients:
 
 
 def _run_node(near, far, k: int, near_left: bool):
-    """The node k*near + far of a Stern-Brocot run, as (p, q, word).
+    """The node k*near + far of a Stern-Brocot run, as (p, q, word, matrix).
 
     Its word is the endpoint words concatenated, the left one first (the
     standard factorization of Christoffel words at Farey neighbours): near*k
-    + far when near is the left endpoint, far + near*k otherwise.
+    + far when near is the left endpoint, far + near*k otherwise.  Its
+    quotient matrix is the endpoint matrices multiplied in the same order,
+    M(near)^k M(far) or M(far) M(near)^k: O(log k) 2x2 products by
+    repeated squaring, and no pass over the word.
     """
-    (p, q, word), (fp, fq, fword) = near, far
-    return (k * p + fp, k * q + fq,
-            word * k + fword if near_left else fword + word * k)
+    (p, q, word, m), (fp, fq, fword, fm) = near, far
+    mk = cf._matrix_power(m, k)
+    if near_left:
+        word, m = word * k + fword, cf._matrix_product(mk, fm)
+    else:
+        word, m = fword + word * k, cf._matrix_product(fm, mk)
+    return k * p + fp, k * q + fq, word, m
 
 
 def kappa2_bracket(eps: Fraction) -> KappaBracket:
@@ -222,9 +238,12 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
     The verdict is monotone in the density, so each digit of the threshold's
     continued fraction is found by a doubling gallop plus binary refinement;
     the loop stops once the density gap (half the kappa gap) is at most eps.
-    Runs after the two anchors take at most ~2 log2(1/eps) classifications.
-    Endpoints are nodes (p, q, word): only the anchors' words come from
-    c734_word, and every later word is its endpoints' words concatenated.
+    Runs after the two anchors take at most ~2 log2(1/eps) steps.
+    Endpoints are nodes (p, q, word, matrix): only the anchors' words and
+    matrices are built from c734_word, and every later node is its
+    endpoints' nodes combined (`_run_node`), at O(log k) 2x2 products.  A
+    step's verdict is the sign of tr(M^4) - L_2S from the node matrix's
+    trace and the word's weighted sum S = 13q + 2p.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -234,18 +253,23 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
 
     def verdict(node) -> Classification:
         # a Stern-Brocot descent never meets a density twice
-        p, q, word = node
-        v = classify_verdict(PeriodicCF._of_valid((), word))
-        trace.append(BracketStep(len(trace) + 1, Fraction(p, q),
-                                 2 * q, v.kappa, v.classification))
-        return v.classification
+        p, q, _, (m00, _, _, m11) = node
+        cls = _BY_SIGN[_verdict_sign(m00 + m11, 13 * q + 2 * p)[0]]
+        density = Fraction(p, q)
+        trace.append(BracketStep(len(trace) + 1, density, 2 * q,
+                                 13 + 2 * density, cls))
+        return cls
 
     def narrow(a, b) -> bool:
         # neighbours p/q < p'/q' have p'q - pq' = 1, so their gap is 1/(qq')
         return a[1] * b[1] * eps >= 1
 
+    def anchor(p):
+        word = c734_word(p, 1)
+        return p, 1, word, cf._quotient_matrix(word)
+
     # family anchors, classified during initialization (not bisection steps)
-    lo, hi = (0, 1, c734_word(0, 1)), (1, 1, c734_word(1, 1))
+    lo, hi = anchor(0), anchor(1)
     if classify(PeriodicCF((), lo[2])) is not Classification.DERIV_INFINITY or \
             classify(PeriodicCF((), hi[2])) is not Classification.DERIV_ZERO:
         raise AssertionError("family anchors do not bracket the threshold")

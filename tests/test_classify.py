@@ -10,8 +10,8 @@ import pytest
 from dtu import cf
 from dtu.cf import Orientation, PeriodicCF
 from dtu.classify import (BracketStep, Classification, EnvelopeSide,
-                          c734_word, classify, classify_verdict, envelope,
-                          growth_rate, kappa, kappa2_bracket)
+                          _run_node, c734_word, classify, classify_verdict,
+                          envelope, growth_rate, kappa, kappa2_bracket)
 from dtu.golden import GoldenScalar
 from dtu.surd import QuadraticSurd, compare_values
 
@@ -278,24 +278,59 @@ def test_kappa2_verdict_monotone_along_trace():
     assert max(infs) < min(zeros)
 
 
+def farey_neighbours(lo=(0, 1), hi=(1, 1)):
+    """Every Farey-neighbour pair a/b < c/d in [0, 1] with b + d <= 120."""
+    (a, b), (c, d) = lo, hi
+    if b + d > 120:
+        return
+    yield lo, hi
+    yield from farey_neighbours(lo, (a + c, b + d))
+    yield from farey_neighbours((a + c, b + d), hi)
+
+
 def test_c734_words_factor_at_farey_neighbours():
     # the Christoffel factorization the kappa2 descent builds its words by:
     # for Farey neighbours a/b < c/d the word at (a+c)/(b+d) is the word at
     # a/b followed by the word at c/d
-    def neighbours(lo, hi):
-        (a, b), (c, d) = lo, hi
-        if b + d > 120:
-            return
-        yield lo, hi
-        yield from neighbours(lo, (a + c, b + d))
-        yield from neighbours((a + c, b + d), hi)
-
-    pairs = list(neighbours((0, 1), (1, 1)))
+    pairs = list(farey_neighbours())
     # one pair per mediant: every reduced fraction in (0, 1) of denominator <= 120
     assert len(pairs) == sum(1 for q in range(2, 121) for p in range(1, q)
                              if math.gcd(p, q) == 1)
     for (a, b), (c, d) in pairs:
         assert c734_word(a + c, b + d) == c734_word(a, b) + c734_word(c, d)
+
+
+def test_run_node_matrix_is_the_quotient_matrix_of_its_word():
+    # the whole matrix, not only its trace: the trace is invariant under
+    # rotation, so only the full matrix tells M(near)^k M(far) from
+    # M(far) M(near)^k
+    def node(p, q):
+        word = c734_word(p, q)
+        return p, q, word, cf._quotient_matrix(word)
+
+    for (a, b), (c, d) in farey_neighbours():
+        lo, hi = node(a, b), node(c, d)
+        for k in (1, 2, 3, 5):
+            for near_left in (True, False):
+                near, far = (lo, hi) if near_left else (hi, lo)
+                p, q, word, m = _run_node(near, far, k, near_left)
+                assert (p, q) == (k * near[0] + far[0], k * near[1] + far[1])
+                assert word == (near[2] * k + far[2] if near_left
+                                else far[2] + near[2] * k)
+                # unchecked: the words concatenate c734_word ones, so
+                # validating them again would only add time
+                assert m == cf._quotient_matrix(word), (a, b, c, d, k, near_left)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 500), Fraction(1, 10 ** 4),
+                                 Fraction(1, 10 ** 6)])
+def test_kappa2_steps_match_the_word_verdicts(eps):
+    # the word-based route is the oracle for the descent's matrix verdicts
+    br = kappa2_bracket(eps)
+    for step in br.trace:
+        p, q = step.density.numerator, step.density.denominator
+        v = classify_verdict(PeriodicCF((), c734_word(p, q)))
+        assert (step.classification, step.kappa) == (v.classification, v.kappa)
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 50), Fraction(1, 500),
@@ -311,7 +346,7 @@ def test_kappa2_witnesses_are_the_endpoint_words(eps):
 def test_kappa2_bracket_builds_and_validates_each_word_once(monkeypatch):
     # the package re-exports the function classify, which shadows the module
     classify_module = importlib.import_module("dtu.classify")
-    calls = {"c734_word": 0, "check_quotients": 0}
+    calls = {"c734_word": 0, "classify_verdict": 0, "check_quotients": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -321,14 +356,19 @@ def test_kappa2_bracket_builds_and_validates_each_word_once(monkeypatch):
 
     monkeypatch.setattr(classify_module, "c734_word",
                         counted("c734_word", classify_module.c734_word))
+    monkeypatch.setattr(classify_module, "classify_verdict",
+                        counted("classify_verdict",
+                                classify_module.classify_verdict))
     monkeypatch.setattr(cf, "check_quotients",
                         counted("check_quotients", cf.check_quotients))
     br = kappa2_bracket(Fraction(1, 10 ** 6))
     assert len(br.trace) == 24
-    # only the two anchors are built by c734_word; each anchor is validated
-    # by PeriodicCF (preperiod and period) and by its period matrix
+    # only the two anchors are built by c734_word and classified from their
+    # words; each anchor is validated by PeriodicCF (preperiod and period)
+    # and by its period matrix, and the steps validate nothing
     assert calls["c734_word"] <= 2
-    assert calls["check_quotients"] <= len(br.trace) + 2 * 3
+    assert calls["classify_verdict"] == 2
+    assert calls["check_quotients"] <= 2 * 3
 
 
 def test_f_monotonicity_at_n8():
