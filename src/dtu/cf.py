@@ -100,18 +100,6 @@ def _matrix_product(a: Matrix, b: Matrix) -> Matrix:
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _matrix_power(m: Matrix, k: int) -> Matrix:
-    """m^k for k >= 0 by repeated squaring: O(log k) 2x2 products."""
-    result = (1, 0, 0, 1)
-    while k:
-        if k & 1:
-            result = _matrix_product(result, m)
-        k >>= 1
-        if k:
-            m = _matrix_product(m, m)
-    return result
-
-
 def value_of(seq: Sequence[int]) -> Fraction:
     """Exact value of [0; a_1, ..., a_n] = <A_->/<A>, in (0, 1]."""
     (m00, _), (m10, _) = quotient_matrix(seq)

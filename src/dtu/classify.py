@@ -20,11 +20,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, isqrt
 
 from . import cf
-from .cf import (Orientation, PeriodicCF, Quotients, _assemble,
-                 _mechanical_blocks)
-from .errors import InputError
+from .cf import Orientation, PeriodicCF, Quotients
+from .errors import CapExceededError, InputError
 from .geval import CertifiedInterval
 from .golden import GoldenScalar
 from .surd import QuadraticSurd, compare_values
@@ -179,6 +180,14 @@ def envelope(prefix, o: Orientation, side: EnvelopeSide) -> EnvelopeBound:
 
 # -- kappa2 bracketing ----------------------------------------------------------
 
+# The least eps that kappa2_bracket accepts; a smaller one is refused before
+# any work.  At 1e-100 the descent takes 350 steps in about 0.2 s, with
+# 372-bit mantissas and nodes of q up to 2^168.
+KAPPA2_EPS_FLOOR = Fraction(1, 10 ** 100)
+# an undecided step reruns the descent at twice the mantissa bits, at most
+# this many times
+_DOUBLINGS = 3
+
 
 @dataclass(frozen=True)
 class BracketStep:
@@ -191,43 +200,191 @@ class BracketStep:
 
 @dataclass(frozen=True)
 class KappaBracket:
+    """kappa2 lies in [lo, hi].  The endpoints are 13 + 2 d for the (7,4)-block
+    densities d = p/q of the witnesses, whose words c734_word(p, q) are built
+    on first access: at eps = 1e-15 each has about 1.7e8 quotients."""
+
     lo: Fraction
     hi: Fraction
-    witness_lo: PeriodicCF
-    witness_hi: PeriodicCF
     trace: tuple[BracketStep, ...]
 
     def __post_init__(self):
         if self.lo >= self.hi:
             raise ValueError("bracket endpoints out of order")
 
+    @property
+    def density_lo(self) -> Fraction:
+        return (self.lo - 13) / 2
+
+    @property
+    def density_hi(self) -> Fraction:
+        return (self.hi - 13) / 2
+
+    @cached_property
+    def witness_lo(self) -> PeriodicCF:
+        d = self.density_lo
+        return PeriodicCF._of_valid((), c734_word(d.numerator, d.denominator))
+
+    @cached_property
+    def witness_hi(self) -> PeriodicCF:
+        d = self.density_hi
+        return PeriodicCF._of_valid((), c734_word(d.numerator, d.denominator))
+
 
 def c734_word(p: int, q: int) -> Quotients:
     """The balanced word of q pairs with light value 7 and p heavy values 4
     among 3s: the (7,4) blocks sit at the mechanical positions of density p/q,
-    with the rare block placed last for p/q <= 1/2."""
+    pair j (from 0) being (7, 4) when floor((j+1)p/q) - floor(jp/q) = 1.
+
+    Built from the Christoffel factorization instead of pair by pair: for
+    Farey neighbours a/b < c/d the word at (a+c)/(b+d) is the word at a/b
+    followed by the word at c/d, so the Stern-Brocot path to p/q builds it
+    by O(log q) tuple repetitions and concatenations.  A non-reduced p/q
+    repeats the word of its reduced form.
+    """
     if not 0 <= p <= q or q < 1:
         raise ValueError("density must be a fraction p/q with 0 <= p <= q")
-    return _assemble(_mechanical_blocks((7, 3), (7, 4), q - p, p))
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    (a, b, left), (c, d, right) = (0, 1, (7, 3)), (1, 1, (7, 4))
+    if q == 1:
+        return (right if p else left) * g
+    while True:  # a/b < p/q < c/d, Farey neighbours
+        below, above = p * b - q * a, q * c - p * d  # q b (p/q - a/b), ...
+        if p * (b + d) < q * (a + c):
+            # p/q below the mediant: c/d moves k times towards a/b, to the
+            # last (c + ka)/(d + kb) above p/q
+            k = (above - 1) // below
+            c, d, right = c + k * a, d + k * b, left * k + right
+        elif p * (b + d) > q * (a + c):
+            k = (below - 1) // above
+            a, b, left = a + k * c, b + k * d, left + right * k
+        else:
+            return (left + right) * g
 
 
-def _run_node(near, far, k: int, near_left: bool):
-    """The node k*near + far of a Stern-Brocot run, as (p, q, word, matrix).
+# A node of the descent is (p, q, enclosure) for the word c734_word(p, q).
+# The enclosure (lo, hi, e) holds flat 2x2 matrices of mantissas with one
+# exponent: the word's quotient matrix M lies entrywise in [lo 2^e, hi 2^e].
+# M is nonnegative, so a product of enclosures is the product of the lower
+# and of the upper matrices, rounded outward (`_round_out`).  Exponent 0
+# means no rounding yet: lo = hi = M exactly.
+
+
+def _round_out(lo: tuple, hi: tuple, e: int, bits: int):
+    """The enclosure with `bits`-bit mantissas: the nonnegative mantissas are
+    shifted right together, the lower ones rounded down, the upper ones up."""
+    shift = max(hi).bit_length() - bits
+    if shift <= 0:
+        return lo, hi, e
+    return (tuple(x >> shift for x in lo), tuple(-(-x >> shift) for x in hi),
+            e + shift)
+
+
+def _enclosure_product(x, y, bits: int):
+    """Enclosure of the product of the matrices enclosed by x and y."""
+    (xlo, xhi, xe), (ylo, yhi, ye) = x, y
+    hi = cf._matrix_product(xhi, yhi)
+    lo = hi if xe == ye == 0 else cf._matrix_product(xlo, ylo)
+    return _round_out(lo, hi, xe + ye, bits)
+
+
+def _enclosure_power(x, k: int, bits: int):
+    """Enclosure of the k-th power, k >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else _enclosure_product(result, x, bits)
+        k >>= 1
+        if not k:
+            return result
+        x = _enclosure_product(x, x, bits)
+
+
+def _phi_power_enclosure(s: int, bits: int):
+    """(lo, hi, e) with phi^s in [lo 2^e, hi 2^e], s >= 0, by powering the
+    `bits`-bit enclosure of phi with outward rounding."""
+    k = bits - 1
+    floor_phi = ((1 << k) + isqrt(5 << 2 * k)) >> 1  # floor(phi 2^k)
+    lo, hi, e = (1,), (1,), 0
+    for bit in bin(s)[2:]:
+        lo, hi, e = _round_out((lo[0] * lo[0],), (hi[0] * hi[0],), 2 * e, bits)
+        if bit == "1":
+            lo, hi, e = _round_out((lo[0] * floor_phi,), (hi[0] * (floor_phi + 1),),
+                                   e - k, bits)
+    return lo[0], hi[0], e
+
+
+def _compare_scaled(a: int, x: int, b: int, y: int) -> int:
+    """Sign of a 2^x - b 2^y for integers a, b >= 0."""
+    if not (a and b):  # a lower mantissa may round down to 0
+        return (a > 0) - (b > 0)
+    # 2^(n-1) <= a 2^x < 2^n with n = bit_length(a) + x
+    size_a, size_b = a.bit_length() + x, b.bit_length() + y
+    if size_a != size_b:
+        return 1 if size_a > size_b else -1
+    low = min(x, y)
+    a, b = a << (x - low), b << (y - low)
+    return (a > b) - (a < b)
+
+
+class _Undecided(Exception):
+    """A descent step whose enclosures do not separate."""
+
+
+def _node_sign(p: int, q: int, enclosure, bits: int) -> int:
+    """Sign of lambda^2 - phi^S for the node's word, S = 13q + 2p.
+
+    An exact node takes the integer route (`_verdict_sign`), which also
+    decides Boundary.  Otherwise, as x + 1/x increases for x > 1, the sign is
+    that of (T^2 - 2) - (phi^S + phi^-S), T the trace, with phi^-S in (0, 1)
+    and the enclosure's exponent e >= 1:
+      T^2 - 2 > phi^S + phi^-S  if  (t_lo^2 - 1) 4^e >= phi^S_hi, and
+      T^2 - 2 < phi^S + phi^-S  if  t_hi^2 4^e <= phi^S_lo.
+    Raises _Undecided when neither holds.
+    """
+    lo, hi, e = enclosure
+    s = 13 * q + 2 * p
+    if e == 0:
+        return _verdict_sign(lo[0] + lo[3], s)[0]
+    t_lo, t_hi = lo[0] + lo[3], hi[0] + hi[3]
+    phi_lo, phi_hi, f = _phi_power_enclosure(s, bits)
+    if _compare_scaled(max(t_lo * t_lo - 1, 0), 2 * e, phi_hi, f) >= 0:
+        return 1
+    if _compare_scaled(t_hi * t_hi, 2 * e, phi_lo, f) <= 0:
+        return -1
+    raise _Undecided(Fraction(p, q))
+
+
+def _run_node(near, far, k: int, near_left: bool, bits: int):
+    """The node k*near + far of a Stern-Brocot run.
 
     Its word is the endpoint words concatenated, the left one first (the
     standard factorization of Christoffel words at Farey neighbours): near*k
-    + far when near is the left endpoint, far + near*k otherwise.  Its
-    quotient matrix is the endpoint matrices multiplied in the same order,
-    M(near)^k M(far) or M(far) M(near)^k: O(log k) 2x2 products by
-    repeated squaring, and no pass over the word.
+    + far when near is the left endpoint, far + near*k otherwise.  So its
+    matrix is the endpoint matrices multiplied in the same order,
+    M(near)^k M(far) or M(far) M(near)^k: O(log k) enclosure products.
     """
-    (p, q, word, m), (fp, fq, fword, fm) = near, far
-    mk = cf._matrix_power(m, k)
+    (p, q, m), (fp, fq, fm) = near, far
+    mk = _enclosure_power(m, k, bits)
     if near_left:
-        word, m = word * k + fword, cf._matrix_product(mk, fm)
+        m = _enclosure_product(mk, fm, bits)
     else:
-        word, m = fword + word * k, cf._matrix_product(fm, mk)
-    return k * p + fp, k * q + fq, word, m
+        m = _enclosure_product(fm, mk, bits)
+    return k * p + fp, k * q + fq, m
+
+
+def _mantissa_bits(eps: Fraction) -> int:
+    """The starting mantissa bits of the descent at eps: log2(1/eps) + 40.
+
+    A step at q needs about 2 log2(q) + 10 bits: phi^S's relative width
+    grows as S 2^-bits, and along the descents through 1e-9
+    q |2 ln(lambda) - S ln(phi)| >= 0.018, while q^2 is about 1/eps.  On 60
+    log-uniform eps in [1e-60, 1e-3], log2(1/eps) + 16 bits left 2
+    descents with an undecided step and + 24 none, so + 40 keeps 16 bits
+    spare.
+    """
+    return max(64, eps.denominator.bit_length() - eps.numerator.bit_length() + 40)
 
 
 def kappa2_bracket(eps: Fraction) -> KappaBracket:
@@ -239,22 +396,51 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
     continued fraction is found by a doubling gallop plus binary refinement;
     the loop stops once the density gap (half the kappa gap) is at most eps.
     Runs after the two anchors take at most ~2 log2(1/eps) steps.
-    Endpoints are nodes (p, q, word, matrix): only the anchors' words and
-    matrices are built from c734_word, and every later node is its
-    endpoints' nodes combined (`_run_node`), at O(log k) 2x2 products.  A
-    step's verdict is the sign of tr(M^4) - L_2S from the node matrix's
-    trace and the word's weighted sum S = 13q + 2p.
+
+    The anchors are classified from their words.  Every later node carries
+    an outward-rounded enclosure of its quotient matrix (`_run_node`), and
+    its verdict is decided by `_node_sign`.  The mantissa bits come from
+    eps; a step whose enclosures do not separate reruns the whole descent
+    at twice the bits, and after _DOUBLINGS reruns CapExceededError is
+    raised.  eps below KAPPA2_EPS_FLOOR raises CapExceededError at once.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
+    if eps < KAPPA2_EPS_FLOOR:
+        raise CapExceededError(
+            f"eps is below the kappa2 floor {float(KAPPA2_EPS_FLOOR):.0e}")
 
+    def anchor(p):
+        word = c734_word(p, 1)
+        m = cf._quotient_matrix(word)
+        return word, (p, 1, (m, m, 0))
+
+    # family anchors, classified during initialization (not bisection steps)
+    (lo_word, lo), (hi_word, hi) = anchor(0), anchor(1)
+    if classify(PeriodicCF((), lo_word)) is not Classification.DERIV_INFINITY or \
+            classify(PeriodicCF((), hi_word)) is not Classification.DERIV_ZERO:
+        raise AssertionError("family anchors do not bracket the threshold")
+
+    bits = _mantissa_bits(eps)
+    for doubling in range(_DOUBLINGS + 1):
+        try:
+            return _descend(eps, lo, hi, bits << doubling)
+        except _Undecided as exc:
+            density = exc.args[0]
+    raise CapExceededError(f"kappa2 step at density {density} undecided at"
+                           f" {bits << _DOUBLINGS}-bit precision")
+
+
+def _descend(eps: Fraction, lo, hi, bits: int) -> KappaBracket:
+    """The Stern-Brocot descent from the anchor nodes lo < hi at `bits`-bit
+    mantissas; raises _Undecided at the first step it cannot decide."""
     trace: list[BracketStep] = []
 
     def verdict(node) -> Classification:
         # a Stern-Brocot descent never meets a density twice
-        p, q, _, (m00, _, _, m11) = node
-        cls = _BY_SIGN[_verdict_sign(m00 + m11, 13 * q + 2 * p)[0]]
+        p, q, m = node
+        cls = _BY_SIGN[_node_sign(p, q, m, bits)]
         density = Fraction(p, q)
         trace.append(BracketStep(len(trace) + 1, density, 2 * q,
                                  13 + 2 * density, cls))
@@ -264,27 +450,17 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
         # neighbours p/q < p'/q' have p'q - pq' = 1, so their gap is 1/(qq')
         return a[1] * b[1] * eps >= 1
 
-    def anchor(p):
-        word = c734_word(p, 1)
-        return p, 1, word, cf._quotient_matrix(word)
-
-    # family anchors, classified during initialization (not bisection steps)
-    lo, hi = anchor(0), anchor(1)
-    if classify(PeriodicCF((), lo[2])) is not Classification.DERIV_INFINITY or \
-            classify(PeriodicCF((), hi[2])) is not Classification.DERIV_ZERO:
-        raise AssertionError("family anchors do not bracket the threshold")
-
     while not narrow(lo, hi):
         # one digit: the mediant's verdict names the endpoint `near` that the
         # run k*near + far approaches; the run keeps that verdict up to some k
-        inside = _run_node(lo, hi, 1, True)
+        inside = _run_node(lo, hi, 1, True, bits)
         target = verdict(inside)
         near_left = target is Classification.DERIV_ZERO
         near, far = (lo, hi) if near_left else (hi, lo)
         k = 1
         while True:  # gallop: k = 2, 4, ...
             out_k = 2 * k
-            outside = _run_node(near, far, out_k, near_left)
+            outside = _run_node(near, far, out_k, near_left, bits)
             if verdict(outside) is not target:
                 break
             k, inside = out_k, outside
@@ -294,17 +470,13 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
                 break
         while out_k - k > 1:  # bisect for the last k that keeps the verdict
             mid = (k + out_k) // 2
-            node = _run_node(near, far, mid, near_left)
+            node = _run_node(near, far, mid, near_left, bits)
             if verdict(node) is target:
                 k, inside = mid, node
             else:
                 out_k, outside = mid, node
         lo, hi = (outside, inside) if near_left else (inside, outside)
 
-    return KappaBracket(
-        lo=13 + 2 * Fraction(lo[0], lo[1]),
-        hi=13 + 2 * Fraction(hi[0], hi[1]),
-        witness_lo=PeriodicCF._of_valid((), lo[2]),
-        witness_hi=PeriodicCF._of_valid((), hi[2]),
-        trace=tuple(trace),
-    )
+    return KappaBracket(lo=13 + 2 * Fraction(lo[0], lo[1]),
+                        hi=13 + 2 * Fraction(hi[0], hi[1]),
+                        trace=tuple(trace))

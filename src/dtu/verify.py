@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +19,12 @@ from .golden import GoldenScalar
 
 _SEED = 0x5F3759
 _EPS = Fraction(1, 500)  # the threshold bracket's width is at most 2 * _EPS
+_DEEP_EPS = Fraction(1, 10 ** 40)  # the bracket of the kappa2 digits row
+_DIGITS_MIN = 30  # certified significant digits of kappa2 that the row needs
+# kappa2_payload prints a witness word of at most this many quotients, and
+# the density p/q of a longer one, whose word is c734_word(p, q); the
+# longest witness at eps = 1e-8 has 48,914 quotients, at 1e-15 1.7e8
+WITNESS_QUOTIENTS_MAX = 10 ** 5
 _FAMILY_M, _FAMILY_ALPHA = 400, Fraction(11, 20)  # alpha * m must be integral
 
 
@@ -151,7 +158,45 @@ def verify_suite() -> VerifyReport:
            f" witnesses {lo_cls.value}/{hi_cls.value}",
            structural)
 
+    # 7. kappa2's certified digits, from a deeper bracket nested in the first
+    deep = kappa2_bracket(_DEEP_EPS)
+    digits = common_decimal_prefix(deep.lo, deep.hi)
+    count = sum(c.isdigit() for c in digits)
+    quotients = common_cf_prefix(deep.density_lo, deep.density_hi)
+    record("kappa2-digits",
+           f">= {_DIGITS_MIN} certified digits at eps 1e-40,"
+           f" bracket nested in threshold-bracket",
+           f"kappa2 = {digits}... ({count} digits),"
+           f" d* = (kappa2 - 13)/2 = [0; {', '.join(map(str, quotients))}, ...]"
+           f" ({len(quotients)} quotients)",
+           count >= _DIGITS_MIN and bracket.lo <= deep.lo < deep.hi <= bracket.hi)
+
     return VerifyReport(tuple(checks), bracket)
+
+
+def common_decimal_prefix(lo: Fraction, hi: Fraction, places: int = 60) -> str:
+    """The leading decimal digits shared by every number in [lo, hi], for
+    0 < lo <= hi: the common prefix of their expansions cut at `places`
+    decimals, without a trailing point."""
+    def expansion(x: Fraction) -> str:
+        digits = str(x.numerator * 10 ** places // x.denominator).zfill(places + 1)
+        return digits[:-places] + "." + digits[-places:]
+
+    return os.path.commonprefix([expansion(lo), expansion(hi)]).rstrip(".")
+
+
+def common_cf_prefix(lo: Fraction, hi: Fraction) -> tuple[int, ...]:
+    """The leading partial quotients shared by every number in [lo, hi]
+    within (0, 1).
+
+    Numbers whose expansion continues past a_1..a_n form an interval, so a
+    prefix both endpoints share and continue past is shared by all between.
+    """
+    a, b = cf.cf_of(lo), cf.cf_of(hi)
+    n = 0
+    while n < min(len(a), len(b)) - 1 and a[n] == b[n]:
+        n += 1
+    return a[:n]
 
 
 def report_markdown(report: VerifyReport) -> str:
@@ -193,14 +238,21 @@ def report_json(report: VerifyReport) -> str:
 
 
 def kappa2_payload(bracket: KappaBracket) -> dict:
-    """The enclosure's endpoints, witness periods and step count, encoded."""
-    return {
-        "lo": fraction_str(bracket.lo),
-        "hi": fraction_str(bracket.hi),
-        "witness_lo": seq_str(bracket.witness_lo.period),
-        "witness_hi": seq_str(bracket.witness_hi.period),
-        "steps": len(bracket.trace),
-    }
+    """The enclosure's endpoints, witnesses and step count, encoded.
+
+    A witness of at most WITNESS_QUOTIENTS_MAX quotients is its period,
+    under witness_lo or witness_hi; a longer one is its density p/q, under
+    witness_lo_density or witness_hi_density.
+    """
+    payload = {"lo": fraction_str(bracket.lo), "hi": fraction_str(bracket.hi),
+               "steps": len(bracket.trace)}
+    for side, density in (("lo", bracket.density_lo), ("hi", bracket.density_hi)):
+        if 2 * density.denominator <= WITNESS_QUOTIENTS_MAX:
+            witness = getattr(bracket, "witness_" + side)
+            payload["witness_" + side] = seq_str(witness.period)
+        else:
+            payload[f"witness_{side}_density"] = fraction_str(density)
+    return payload
 
 
 def trace_json(bracket: KappaBracket) -> str:

@@ -9,6 +9,7 @@ import pytest
 
 from dtu import cf
 from dtu.cf import Orientation, PeriodicCF
+from dtu.errors import CapExceededError
 from dtu.classify import (BracketStep, Classification, EnvelopeSide,
                           _run_node, c734_word, classify, classify_verdict,
                           envelope, growth_rate, kappa, kappa2_bracket)
@@ -303,23 +304,167 @@ def test_c734_words_factor_at_farey_neighbours():
 def test_run_node_matrix_is_the_quotient_matrix_of_its_word():
     # the whole matrix, not only its trace: the trace is invariant under
     # rotation, so only the full matrix tells M(near)^k M(far) from
-    # M(far) M(near)^k
-    def node(p, q):
-        word = c734_word(p, q)
-        return p, q, word, cf._quotient_matrix(word)
+    # M(far) M(near)^k.  At 8-bit mantissas the enclosure must contain the
+    # node word's matrix; with room for every entry it must equal it.
+    def node(p, q, m):
+        return p, q, (m, m, 0)
 
+    exact_bits = 1 << 16
     for (a, b), (c, d) in farey_neighbours():
-        lo, hi = node(a, b), node(c, d)
+        ends = [(a, b, cf._quotient_matrix(c734_word(a, b))),
+                (c, d, cf._quotient_matrix(c734_word(c, d)))]
+        lo, hi = node(*ends[0]), node(*ends[1])
         for k in (1, 2, 3, 5):
             for near_left in (True, False):
                 near, far = (lo, hi) if near_left else (hi, lo)
-                p, q, word, m = _run_node(near, far, k, near_left)
+                p, q, (mlo, mhi, e) = _run_node(near, far, k, near_left, 8)
                 assert (p, q) == (k * near[0] + far[0], k * near[1] + far[1])
-                assert word == (near[2] * k + far[2] if near_left
-                                else far[2] + near[2] * k)
-                # unchecked: the words concatenate c734_word ones, so
-                # validating them again would only add time
-                assert m == cf._quotient_matrix(word), (a, b, c, d, k, near_left)
+                # unchecked: c734_word's words are valid
+                m = cf._quotient_matrix(c734_word(p, q))
+                assert all(x << e <= y <= z << e
+                           for x, y, z in zip(mlo, m, mhi)), (a, b, c, d, k)
+                assert max(mhi) <= 1 << 8
+                assert _run_node(near, far, k, near_left, exact_bits) == \
+                    (p, q, (m, m, 0)), (a, b, c, d, k, near_left)
+
+
+def _descend(eps, bits):
+    """The descent from the anchor nodes 0/1 and 1/1 at `bits`-bit mantissas."""
+    anchors = [(p, 1, (m, m, 0)) for p, m in
+               ((0, cf._quotient_matrix(c734_word(0, 1))),
+                (1, cf._quotient_matrix(c734_word(1, 1))))]
+    return importlib.import_module("dtu.classify")._descend(eps, *anchors, bits)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 500), Fraction(1, 10 ** 6),
+                                 Fraction(1, 10 ** 9)])
+def test_interval_steps_match_the_exact_node_verdicts(eps, monkeypatch):
+    classify_module = importlib.import_module("dtu.classify")
+    # mantissas wide enough that no enclosure is ever rounded, so every
+    # step takes the integer route
+    exact = _descend(eps, 1 << 40)
+    integer_route = []
+    verdict_sign = classify_module._verdict_sign
+    monkeypatch.setattr(classify_module, "_verdict_sign",
+                        lambda t, s: integer_route.append(s) or verdict_sign(t, s))
+    br = kappa2_bracket(eps)
+    assert (br.lo, br.hi, br.trace) == (exact.lo, exact.hi, exact.trace)
+    if eps < Fraction(1, 10 ** 6):
+        # most steps were decided by the enclosures, not the integer route
+        assert len(integer_route) < len(br.trace) / 2
+
+
+@pytest.mark.parametrize("bits", [7, 8, 12])
+def test_interval_sign_is_the_exact_sign_or_undecided(bits):
+    # with few mantissa bits many nodes are undecided; a decided one must
+    # agree with the integer verdict of its exact matrix
+    classify_module = importlib.import_module("dtu.classify")
+    decided = 0
+    for (a, b), (c, d) in farey_neighbours():
+        if b + d > 60:
+            continue
+        ends = [(x, y, (m, m, 0)) for x, y, m in
+                ((a, b, cf._quotient_matrix(c734_word(a, b))),
+                 (c, d, cf._quotient_matrix(c734_word(c, d))))]
+        for k in (1, 2, 7):
+            for near_left in (True, False):
+                near, far = ends if near_left else ends[::-1]
+                p, q, enclosure = _run_node(near, far, k, near_left, bits)
+                m = cf._quotient_matrix(c734_word(p, q))
+                exact = classify_module._verdict_sign(m[0] + m[3], 13 * q + 2 * p)[0]
+                try:
+                    sign = classify_module._node_sign(p, q, enclosure, bits)
+                except classify_module._Undecided:
+                    continue
+                decided += enclosure[2] > 0
+                assert sign == exact, (p, q)
+    assert decided > 50
+
+
+@pytest.mark.parametrize("t_lo, t_hi, phi_s, sign", [
+    (3, 3, 36, -1),  # T^2 = phi^S: T^2 - 2 < phi^S + phi^-S
+    (3, 3, 30, 1),  # T^2 - 2 = 34 > 31 >= phi^S + phi^-S
+    (3, 3, 33, None),  # true sign +1, but within the rule's slack of 3
+    (3, 4, 50, None),  # T^2 in [36, 64] straddles phi^S
+])
+def test_node_sign_rule_on_given_enclosures(monkeypatch, t_lo, t_hi, phi_s, sign):
+    # T in [2 t_lo, 2 t_hi] and phi^S = phi_s exactly, to test the decision
+    # rule of _node_sign apart from the enclosures it is given
+    classify_module = importlib.import_module("dtu.classify")
+    monkeypatch.setattr(classify_module, "_phi_power_enclosure",
+                        lambda s, bits: (phi_s, phi_s, 0))
+    enclosure = ((t_lo, 0, 0, 0), (t_hi, 0, 0, 0), 1)
+    if sign is None:
+        with pytest.raises(classify_module._Undecided):
+            classify_module._node_sign(1, 38, enclosure, 64)
+    else:
+        assert classify_module._node_sign(1, 38, enclosure, 64) == sign
+
+
+@pytest.mark.parametrize("bits", [8, 12, 64, 200])
+def test_phi_power_enclosure_contains_phi_power(bits):
+    classify_module = importlib.import_module("dtu.classify")
+    for s in list(range(0, 300)) + [1000, 4097, 65535]:
+        lo, hi, e = classify_module._phi_power_enclosure(s, bits)
+        assert hi <= 1 << bits
+        scale = Fraction(2) ** e
+        exact = GoldenScalar.phi_power(s)
+        assert compare_values(lo * scale, exact) <= 0 <= compare_values(hi * scale, exact), s
+    # the enclosure narrows as the bits grow
+    lo, hi, e = classify_module._phi_power_enclosure(1000, bits)
+    assert (hi - lo) << 20 < lo if bits >= 64 else hi > lo
+
+
+def test_kappa2_brackets_nest_down_to_1e40():
+    previous = None
+    for k in range(2, 41):
+        eps = Fraction(1, 10 ** k)
+        br = kappa2_bracket(eps)
+        assert br.hi - br.lo <= 2 * eps
+        if previous is not None:
+            assert previous.lo <= br.lo < br.hi <= previous.hi, k
+        previous = br
+
+
+def test_kappa2_trace_does_not_depend_on_the_precision():
+    # every interval verdict is certified, so a descent at four times the
+    # mantissa bits must take the same steps
+    eps = Fraction(1, 10 ** 15)
+    wide = _descend(eps, 4 * importlib.import_module("dtu.classify")._mantissa_bits(eps))
+    br = kappa2_bracket(eps)
+    assert (br.lo, br.hi, br.trace) == (wide.lo, wide.hi, wide.trace)
+
+
+def test_kappa2_undecided_steps_rerun_at_doubled_precision(monkeypatch):
+    classify_module = importlib.import_module("dtu.classify")
+    expected = kappa2_bracket(Fraction(1, 10 ** 6))
+    runs = []
+    descend = classify_module._descend
+    monkeypatch.setattr(classify_module, "_descend",
+                        lambda *args: runs.append(args[-1]) or descend(*args))
+    monkeypatch.setattr(classify_module, "_mantissa_bits", lambda eps: 8)
+    br = kappa2_bracket(Fraction(1, 10 ** 6))
+    assert runs == [8, 16, 32, 64][:len(runs)] and len(runs) > 1
+    assert (br.lo, br.hi, br.trace) == (expected.lo, expected.hi, expected.trace)
+
+    def undecided(p, q, enclosure, bits):
+        raise classify_module._Undecided(Fraction(p, q))
+
+    runs.clear()
+    monkeypatch.setattr(classify_module, "_node_sign", undecided)
+    with pytest.raises(CapExceededError, match="undecided at 64-bit"):
+        kappa2_bracket(Fraction(1, 10 ** 6))
+    assert runs == [8, 16, 32, 64]
+
+
+def test_kappa2_eps_floor():
+    classify_module = importlib.import_module("dtu.classify")
+    floor = classify_module.KAPPA2_EPS_FLOOR
+    assert floor == Fraction(1, 10 ** 100)
+    with pytest.raises(CapExceededError):
+        kappa2_bracket(floor * Fraction(99, 100))
+    br = kappa2_bracket(floor)
+    assert br.hi - br.lo <= 2 * floor
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 500), Fraction(1, 10 ** 4),

@@ -18,7 +18,7 @@ from dtu.encode import (decimal_str, parse_fraction, parse_golden, parse_seq,
 from dtu.errors import InputError
 from dtu.extremal import ExtremalInstance
 from dtu.geval import LambdaKind, g_mediant, question_mark, sample_farey
-from dtu.verify import report_markdown, verify_suite
+from dtu.verify import WITNESS_QUOTIENTS_MAX, report_markdown, verify_suite
 
 
 # byte-exact CLI outputs recorded before verdicts were decided in integers
@@ -27,7 +27,10 @@ from dtu.verify import report_markdown, verify_suite
 # kappa2_eps1e-7*: before the kappa2 descent built words by concatenation;
 # kappa2_eps1e-8*: before the kappa2 descent decided steps from node matrices;
 # eval_cf_*, verify_report.*: before `eval --x-is-cf` went through g_mediant
-# and the verify report lost its optional bracket)
+# and the verify report lost its optional bracket; verify_report.* again
+# when the kappa2-digits row was added, every earlier row unchanged;
+# kappa2_eps1e-15*: from the first descent on outward-rounded node
+# matrices, which an exact descent cannot reach)
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -171,10 +174,11 @@ def test_kappa2_command(tmp_path, capsys):
     ("1/1000000", "kappa2_eps1e-6", 5026),
     ("1/10000000", "kappa2_eps1e-7", 17480),
     ("1/100000000", "kappa2_eps1e-8", 48914),
-], ids=["1e-6", "1e-7", "1e-8"])
+    ("1/1000000000000000", "kappa2_eps1e-15", 170503932),
+], ids=["1e-6", "1e-7", "1e-8", "1e-15"])
 def test_deep_kappa2_output_is_pinned(tmp_path, capsys, epsilon, stem, longest):
-    # witnesses of thousands of quotients, built by concatenation along a
-    # descent of about 2 log2(1/eps) steps
+    # a descent of about 2 log2(1/eps) steps; the witnesses of thousands of
+    # quotients are printed whole, those at 1e-15 (over 6e7) as densities
     trace_path = tmp_path / "trace.json"
     code, out, _ = run(capsys, "kappa2", "--epsilon", epsilon,
                        "--trace", str(trace_path))
@@ -183,6 +187,30 @@ def test_deep_kappa2_output_is_pinned(tmp_path, capsys, epsilon, stem, longest):
                for step in json.loads(trace_path.read_text())) == longest
     assert out == (GOLDEN / f"{stem}.json").read_text()
     assert trace_path.read_text() == (GOLDEN / f"{stem}_trace.json").read_text()
+
+
+def test_kappa2_prints_long_witnesses_as_densities(capsys):
+    code, out, _ = run(capsys, "kappa2", "--epsilon", "1/1000000000000000")
+    assert code == 0
+    payload = json.loads(out)
+    assert "witness_lo" not in payload and "witness_hi" not in payload
+    for side in ("lo", "hi"):
+        density = parse_fraction(payload[f"witness_{side}_density"])
+        assert 2 * density.denominator > WITNESS_QUOTIENTS_MAX
+        assert parse_fraction(payload[side]) == 13 + 2 * density
+    # at 1e-9 the lower witness (80,348 quotients) is printed, the upper
+    # one (129,262) is not
+    code, out, _ = run(capsys, "kappa2", "--epsilon", "1/1000000000")
+    payload = json.loads(out)
+    assert len(parse_seq(payload["witness_lo"])) == 80348
+    assert payload["witness_hi_density"] == "1723/64631"
+    assert "witness_lo_density" not in payload and "witness_hi" not in payload
+
+
+def test_kappa2_below_the_eps_floor_exits_2(capsys):
+    code, out, err = run(capsys, "kappa2", "--epsilon", "1/" + "1" + "0" * 101)
+    assert code == 2 and out == ""
+    assert "below the kappa2 floor 1e-100" in err
 
 
 def test_exit_codes(capsys):

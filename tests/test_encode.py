@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtu import encode
 from dtu.classify import c734_word, growth_rate
 from dtu.encode import (decimal_str, fraction_str, golden_str, parse_fraction,
                         parse_golden, parse_seq, parse_surd, seq_str, surd_str)
@@ -92,10 +93,9 @@ def test_decimal_renders_30_significant_digits():
         decimal_str(QuadraticSurd(15, 4, 1, 14))
 
 
-def _reference_decimal(p: int, q: int, r: int, d: int) -> str:
+def _reference_decimal(p: int, q: int, r: int, d: int, k: int = 2000) -> str:
     """(p + q sqrt(d))/r rounded half-even to 30 significant digits, from a
-    2000-bit integer square root: the rendering decimal_str must give."""
-    k = 2000
+    k-bit integer square root: the rendering decimal_str must give."""
     s = isqrt(q * q * d << (2 * k))  # |q| sqrt(d) 2^k, floored
     x = Fraction((p << k) + (s if q >= 0 else -s), r << k)
     if x == 0:
@@ -112,14 +112,14 @@ def _reference_decimal(p: int, q: int, r: int, d: int) -> str:
     return str(Decimal((int(x < 0), tuple(map(int, str(digits))), e - 29)))
 
 
-def _reference(x) -> str:
+def _reference(x, k: int = 2000) -> str:
     if isinstance(x, QuadraticSurd):
-        return _reference_decimal(x.p, x.q, x.r, x.d)
+        return _reference_decimal(x.p, x.q, x.r, x.d, k)
     if isinstance(x, Fraction):
-        return _reference_decimal(x.numerator, 0, x.denominator, 1)
+        return _reference_decimal(x.numerator, 0, x.denominator, 1, k)
     u, v = x.a + x.b / 2, x.b / 2  # x = u + v sqrt5
     r = u.denominator * v.denominator
-    return _reference_decimal(int(u * r), int(v * r), r, 5)
+    return _reference_decimal(int(u * r), int(v * r), r, 5, k)
 
 
 def _significant_digits(text: str) -> int:
@@ -153,6 +153,39 @@ def test_decimal_is_the_correctly_rounded_value():
         "2.01237042016878006617406661025E-63"
     assert decimal_str(g_mediant(LambdaKind.HALF, Fraction(101, 102))) == \
         "1.00000000000000000000000000000"
+
+
+def test_decimal_of_big_coefficients_is_the_correctly_rounded_value():
+    # past 4096 coefficient bits decimal_str rounds in integers; the
+    # reference resolves |x| >= 2^-20000 at k = 24000
+    pell = (1, 1)
+    for _ in range(4000):
+        pell = (pell[0] + 2 * pell[1], pell[0] + pell[1])
+    cases = [GoldenScalar.phi_power(k) for k in (-12001, -8000, 6000, 12001)]
+    cases += [g_mediant(lam, x) for lam in (LambdaKind.PHI_INV, LambdaKind.TAU)
+              for x in (Fraction(1, 6500), Fraction(6499, 6500))]
+    cases += [QuadraticSurd(pell[0], -pell[1], 1, 2),
+              QuadraticSurd(-pell[0], pell[1], 7, 2),
+              QuadraticSurd(3 * pell[0], pell[1], 1, 2),
+              growth_rate(c734_word(800, 2513)).value]
+    with unlimited_int_str():
+        for x in cases:
+            assert encode._coefficient_bits(x) > encode._BIG_BITS
+            out = decimal_str(x)
+            assert out == _reference(x, 24000), x
+            assert _significant_digits(out) == 30
+        # g(1/100000) = phi^-99999, as the Fraction route printed it
+        assert decimal_str(g_mediant(LambdaKind.PHI_INV, Fraction(1, 100000))) == \
+            "2.78588151928291683971617497577E-20899"
+
+
+def test_seq_str_of_long_words():
+    word = c734_word(233, 8740)
+    assert seq_str(word) == ",".join(str(a) for a in word)
+    assert parse_seq(seq_str(word)) == word
+    # quotients past one digit or one byte take the general route
+    for seq in ((7, 3) * 20 + (10,), (7, 3) * 20 + (300,), (12,) * 40):
+        assert seq_str(seq) == ",".join(str(a) for a in seq)
 
 
 @contextmanager
