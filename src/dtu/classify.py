@@ -202,7 +202,7 @@ class BracketStep:
 class KappaBracket:
     """kappa2 lies in [lo, hi].  The endpoints are 13 + 2 d for the (7,4)-block
     densities d = p/q of the witnesses, whose words c734_word(p, q) are built
-    on first access: at eps = 1e-15 each has about 1.7e8 quotients."""
+    on first access: at eps = 1e-15 they have 1.7e8 and 6.3e7 quotients."""
 
     lo: Fraction
     hi: Fraction
@@ -236,10 +236,10 @@ def c734_word(p: int, q: int) -> Quotients:
     among 3s: the (7,4) blocks sit at the mechanical positions of density p/q,
     pair j (from 0) being (7, 4) when floor((j+1)p/q) - floor(jp/q) = 1.
 
-    Built from the Christoffel factorization instead of pair by pair: for
-    Farey neighbours a/b < c/d the word at (a+c)/(b+d) is the word at a/b
-    followed by the word at c/d, so the Stern-Brocot path to p/q builds it
-    by O(log q) tuple repetitions and concatenations.  A non-reduced p/q
+    Built by the Christoffel factorization: for Farey neighbours a/b < c/d
+    the word at (a+c)/(b+d) is the word at a/b followed by the word at c/d,
+    so the Stern-Brocot path to p/q builds it by O(log q) tuple repetitions
+    and concatenations.  A non-reduced p/q
     repeats the word of its reduced form.
     """
     if not 0 <= p <= q or q < 1:

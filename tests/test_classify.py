@@ -219,11 +219,13 @@ def test_c734_words():
     pairs = [(word[i], word[i + 1]) for i in range(0, len(word), 2)]
     assert pairs.count((7, 4)) == 3 and pairs.count((7, 3)) == 5
     # the (7,4) blocks sit where the mechanical word of density p/q steps
-    for q in range(1, 40):
-        for p in range(q + 1):
-            heavy = [4 if ((j + 1) * p) // q - (j * p) // q == 1 else 3
-                     for j in range(q)]
-            assert c734_word(p, q) == tuple(v for h in heavy for v in (7, h))
+    rng = random.Random(7)
+    pairs = [(p, q) for q in range(1, 40) for p in range(q + 1)]
+    pairs += [(rng.randint(0, q), q) for q in rng.sample(range(40, 5000), 60)]
+    for p, q in pairs:
+        heavy = [4 if ((j + 1) * p) // q - (j * p) // q == 1 else 3
+                 for j in range(q)]
+        assert c734_word(p, q) == tuple(v for h in heavy for v in (7, h)), (p, q)
 
 
 def test_kappa2_bracket_eps_one():
@@ -410,9 +412,9 @@ def test_phi_power_enclosure_contains_phi_power(bits):
         scale = Fraction(2) ** e
         exact = GoldenScalar.phi_power(s)
         assert compare_values(lo * scale, exact) <= 0 <= compare_values(hi * scale, exact), s
-    # the enclosure narrows as the bits grow
-    lo, hi, e = classify_module._phi_power_enclosure(1000, bits)
-    assert (hi - lo) << 20 < lo if bits >= 64 else hi > lo
+    if bits >= 64:  # phi^1000 to better than 20 bits
+        lo, hi, _ = classify_module._phi_power_enclosure(1000, bits)
+        assert (hi - lo) << 20 < lo
 
 
 def test_kappa2_brackets_nest_down_to_1e40():
