@@ -187,6 +187,10 @@ KAPPA2_EPS_FLOOR = Fraction(1, 10 ** 100)
 # an undecided step reruns the descent at twice the mantissa bits, at most
 # this many times
 _DOUBLINGS = 3
+# The most quotients a witness word may have: a longer witness_lo or
+# witness_hi raises CapExceededError before its word is built.  The longest
+# witness at eps = 1e-8 has 48,914 quotients, at 1e-15 1.7e8 (1.4 GB).
+WITNESS_QUOTIENTS_MAX = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -201,8 +205,8 @@ class BracketStep:
 @dataclass(frozen=True)
 class KappaBracket:
     """kappa2 lies in [lo, hi].  The endpoints are 13 + 2 d for the (7,4)-block
-    densities d = p/q of the witnesses, whose words c734_word(p, q) are built
-    on first access: at eps = 1e-15 they have 1.7e8 and 6.3e7 quotients."""
+    densities d = p/q of the witnesses, whose words c734_word(p, q) of 2q
+    quotients are built on first access, up to WITNESS_QUOTIENTS_MAX."""
 
     lo: Fraction
     hi: Fraction
@@ -222,13 +226,19 @@ class KappaBracket:
 
     @cached_property
     def witness_lo(self) -> PeriodicCF:
-        d = self.density_lo
-        return PeriodicCF._of_valid((), c734_word(d.numerator, d.denominator))
+        return _witness(self.density_lo)
 
     @cached_property
     def witness_hi(self) -> PeriodicCF:
-        d = self.density_hi
-        return PeriodicCF._of_valid((), c734_word(d.numerator, d.denominator))
+        return _witness(self.density_hi)
+
+
+def _witness(density: Fraction) -> PeriodicCF:
+    if 2 * density.denominator > WITNESS_QUOTIENTS_MAX:
+        raise CapExceededError(f"the witness of density {density} exceeds"
+                               f" {WITNESS_QUOTIENTS_MAX} quotients")
+    return PeriodicCF._of_valid(
+        (), c734_word(density.numerator, density.denominator))
 
 
 def c734_word(p: int, q: int) -> Quotients:

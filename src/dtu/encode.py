@@ -96,23 +96,7 @@ def parse_surd(text: str) -> QuadraticSurd:
     return QuadraticSurd(int(m.group("p")), q, int(m.group("r")), int(m.group("d")))
 
 
-# seq_str's byte table: 0-9 to their ASCII digits, every other byte to 0
-_DIGIT_BYTES = bytes(range(48, 58)) + bytes(246)
-
-
 def seq_str(seq) -> str:
-    """The quotients joined by commas.  A long tuple of one-digit quotients
-    (a kappa2 witness has up to 1e5) is rendered by byte translation, about
-    ten times faster than converting each int on its own."""
-    if isinstance(seq, tuple) and len(seq) >= 32:
-        try:
-            digits = bytes(seq).translate(_DIGIT_BYTES)
-        except ValueError:  # an item outside 0..255
-            digits = b"\0"
-        if 0 not in digits:
-            out = bytearray(b"," * (2 * len(digits) - 1))
-            out[::2] = digits
-            return out.decode("ascii")
     return ",".join(str(a) for a in seq)
 
 

@@ -17,5 +17,6 @@ class InfeasibleError(ValueError):
 class CapExceededError(RuntimeError):
     """A requested size exceeds its cap: the target sum S, the word count
     |M(n, S)| of an exhaustive search, the Farey order of a
-    `geval.sample_farey` table, the depth 1/eps of a kappa2 bracket, or the
-    precision that a kappa2 descent step would need."""
+    `geval.sample_farey` table, the depth 1/eps of a kappa2 bracket, the
+    precision that a kappa2 descent step would need, or the length of a
+    kappa2 witness word."""

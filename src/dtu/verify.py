@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cf
 from .cf import Orientation, PeriodicCF
-from .classify import (Classification, KappaBracket, classify, kappa,
-                       kappa2_bracket)
+from .classify import (WITNESS_QUOTIENTS_MAX, Classification, KappaBracket,
+                       classify, kappa, kappa2_bracket)
 from .encode import fraction_str, seq_str
 from .golden import GoldenScalar
 
@@ -21,10 +20,6 @@ _SEED = 0x5F3759
 _EPS = Fraction(1, 500)  # the threshold bracket's width is at most 2 * _EPS
 _DEEP_EPS = Fraction(1, 10 ** 40)  # the bracket of the kappa2 digits row
 _DIGITS_MIN = 30  # certified significant digits of kappa2 that the row needs
-# kappa2_payload prints a witness word of at most this many quotients, and
-# the density p/q of a longer one, whose word is c734_word(p, q); the
-# longest witness at eps = 1e-8 has 48,914 quotients, at 1e-15 1.7e8
-WITNESS_QUOTIENTS_MAX = 10 ** 5
 _FAMILY_M, _FAMILY_ALPHA = 400, Fraction(11, 20)  # alpha * m must be integral
 
 
@@ -174,15 +169,21 @@ def verify_suite() -> VerifyReport:
     return VerifyReport(tuple(checks), bracket)
 
 
-def common_decimal_prefix(lo: Fraction, hi: Fraction, places: int = 60) -> str:
+def common_decimal_prefix(lo: Fraction, hi: Fraction) -> str:
     """The leading decimal digits shared by every number in [lo, hi], for
-    0 < lo <= hi: the common prefix of their expansions cut at `places`
-    decimals, without a trailing point."""
-    def expansion(x: Fraction) -> str:
-        digits = str(x.numerator * 10 ** places // x.denominator).zfill(places + 1)
-        return digits[:-places] + "." + digits[-places:]
+    0 <= lo < hi: lo cut at the most places m for which floor(10^m x) is one
+    integer on the whole interval, without a trailing point; "" when the
+    integer parts differ.  The loop ends because 10^m (hi - lo) reaches 1."""
+    def cut(x: Fraction, m: int) -> int:
+        return x.numerator * 10 ** m // x.denominator
 
-    return os.path.commonprefix([expansion(lo), expansion(hi)]).rstrip(".")
+    if cut(lo, 0) != cut(hi, 0):
+        return ""
+    m = 0
+    while cut(lo, m + 1) == cut(hi, m + 1):
+        m += 1
+    digits = str(cut(lo, m)).zfill(m + 1)
+    return digits[:-m] + "." + digits[-m:] if m else digits
 
 
 def common_cf_prefix(lo: Fraction, hi: Fraction) -> tuple[int, ...]:
@@ -241,8 +242,9 @@ def kappa2_payload(bracket: KappaBracket) -> dict:
     """The enclosure's endpoints, witnesses and step count, encoded.
 
     A witness of at most WITNESS_QUOTIENTS_MAX quotients is its period,
-    under witness_lo or witness_hi; a longer one is its density p/q, under
-    witness_lo_density or witness_hi_density.
+    under witness_lo or witness_hi; a longer one, which the bracket does not
+    build, is its density p/q, under witness_lo_density or
+    witness_hi_density.
     """
     payload = {"lo": fraction_str(bracket.lo), "hi": fraction_str(bracket.hi),
                "steps": len(bracket.trace)}

@@ -11,8 +11,9 @@ from dtu import cf
 from dtu.cf import Orientation, PeriodicCF
 from dtu.errors import CapExceededError
 from dtu.classify import (BracketStep, Classification, EnvelopeSide,
-                          _run_node, c734_word, classify, classify_verdict,
-                          envelope, growth_rate, kappa, kappa2_bracket)
+                          KappaBracket, _run_node, c734_word, classify,
+                          classify_verdict, envelope, growth_rate, kappa,
+                          kappa2_bracket)
 from dtu.golden import GoldenScalar
 from dtu.surd import QuadraticSurd, compare_values
 
@@ -488,6 +489,26 @@ def test_kappa2_witnesses_are_the_endpoint_words(eps):
         density = (end - 13) / 2
         assert witness == PeriodicCF(
             (), c734_word(density.numerator, density.denominator))
+
+
+def test_kappa2_witnesses_past_the_cap_are_not_built(monkeypatch):
+    classify_module = importlib.import_module("dtu.classify")
+    cap = classify_module.WITNESS_QUOTIENTS_MAX
+    at_cap = KappaBracket(13 + Fraction(2, cap // 2), 14, ())
+    assert len(at_cap.witness_lo.period) == cap
+    with pytest.raises(CapExceededError):
+        KappaBracket(12, 13 + Fraction(2, cap // 2 + 1), ()).witness_hi
+    # at 1e-15 both witnesses (1.7e8 and 6.3e7 quotients) are refused
+    # before any word is built
+    br = kappa2_bracket(Fraction(1, 10 ** 15))
+
+    def unbuilt(p, q):
+        raise AssertionError(f"c734_word({p}, {q}) was built")
+
+    monkeypatch.setattr(classify_module, "c734_word", unbuilt)
+    for side in ("witness_lo", "witness_hi"):
+        with pytest.raises(CapExceededError):
+            getattr(br, side)
 
 
 def test_kappa2_bracket_builds_and_validates_each_word_once(monkeypatch):

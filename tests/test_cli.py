@@ -11,14 +11,14 @@ import pytest
 
 import dtu
 from dtu import cf
-from dtu.classify import kappa2_bracket
+from dtu.classify import WITNESS_QUOTIENTS_MAX, kappa2_bracket
 from dtu.cli import main
 from dtu.encode import (decimal_str, parse_fraction, parse_golden, parse_seq,
                         parse_surd)
 from dtu.errors import InputError
 from dtu.extremal import ExtremalInstance
 from dtu.geval import LambdaKind, g_mediant, question_mark, sample_farey
-from dtu.verify import WITNESS_QUOTIENTS_MAX, report_markdown, verify_suite
+from dtu.verify import report_markdown, verify_suite
 
 
 # byte-exact CLI outputs recorded before verdicts were decided in integers

@@ -179,15 +179,6 @@ def test_decimal_of_big_coefficients_is_the_correctly_rounded_value():
             "2.78588151928291683971617497577E-20899"
 
 
-def test_seq_str_of_long_words():
-    word = c734_word(233, 8740)
-    assert seq_str(word) == ",".join(str(a) for a in word)
-    assert parse_seq(seq_str(word)) == word
-    # quotients past one digit or one byte take the general route
-    for seq in ((7, 3) * 20 + (10,), (7, 3) * 20 + (300,), (12,) * 40):
-        assert seq_str(seq) == ",".join(str(a) for a in seq)
-
-
 @contextmanager
 def unlimited_int_str():
     """Lift the int <-> str digit limit (where Python has one), then restore it."""
