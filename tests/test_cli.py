@@ -30,7 +30,9 @@ from dtu.verify import report_markdown, verify_suite
 # and the verify report lost its optional bracket; verify_report.* again
 # when the kappa2-digits row was added, every earlier row unchanged;
 # kappa2_eps1e-15*: from the first descent on outward-rounded node
-# matrices, which an exact descent cannot reach)
+# matrices, which an exact descent cannot reach; kappa2_eps1e-40*,
+# kappa2_eps1e-100*: while that descent still enclosed phi^S by powering
+# an enclosure of phi, before nodes carried an enclosure of F^S)
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -175,7 +177,10 @@ def test_kappa2_command(tmp_path, capsys):
     ("1/10000000", "kappa2_eps1e-7", 17480),
     ("1/100000000", "kappa2_eps1e-8", 48914),
     ("1/1000000000000000", "kappa2_eps1e-15", 170503932),
-], ids=["1e-6", "1e-7", "1e-8", "1e-15"])
+    ("1/1" + "0" * 40, "kappa2_eps1e-40", 340965696674201284616),
+    ("1/1" + "0" * 100, "kappa2_eps1e-100",
+     539559784712096233128114649791996899469105636453524),
+], ids=["1e-6", "1e-7", "1e-8", "1e-15", "1e-40", "1e-100"])
 def test_deep_kappa2_output_is_pinned(tmp_path, capsys, epsilon, stem, longest):
     # a descent of about 2 log2(1/eps) steps; the witnesses of thousands of
     # quotients are printed whole, those at 1e-15 (over 6e7) as densities
