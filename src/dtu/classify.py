@@ -21,13 +21,13 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd
 
 from . import cf
 from .cf import Orientation, PeriodicCF, Quotients
 from .errors import CapExceededError, InputError
 from .geval import CertifiedInterval
-from .golden import GoldenScalar
+from .golden import GoldenScalar, _fibonacci_pair
 from .surd import QuadraticSurd, compare_values
 
 
@@ -181,8 +181,8 @@ def envelope(prefix, o: Orientation, side: EnvelopeSide) -> EnvelopeBound:
 # -- kappa2 bracketing ----------------------------------------------------------
 
 # The least eps that kappa2_bracket accepts; a smaller one is refused before
-# any work.  At 1e-100 the descent takes 350 steps in about 0.2 s, with
-# 372-bit mantissas and nodes of q up to 2^168.
+# any work.  At 1e-100 the descent takes 350 steps in 25-50 ms (Xeon,
+# CPython 3.11), with 372-bit mantissas and nodes of q up to 2^168.
 KAPPA2_EPS_FLOOR = Fraction(1, 10 ** 100)
 # an undecided step reruns the descent at twice the mantissa bits, at most
 # this many times
@@ -273,12 +273,14 @@ def c734_word(p: int, q: int) -> Quotients:
             return (left + right) * g
 
 
-# A node of the descent is (p, q, enclosure) for the word c734_word(p, q).
-# The enclosure (lo, hi, e) holds flat 2x2 matrices of mantissas with one
-# exponent: the word's quotient matrix M lies entrywise in [lo 2^e, hi 2^e].
-# M is nonnegative, so a product of enclosures is the product of the lower
+# A node of the descent is (p, q, m, f) for the word c734_word(p, q) of
+# weighted sum S = 13q + 2p.  m and f are enclosures of the word's quotient
+# matrix M and of the Fibonacci power F^S, F = [[1, 1], [1, 0]].  An
+# enclosure (lo, hi, e) holds flat 2x2 matrices of mantissas with one
+# exponent: the matrix lies entrywise in [lo 2^e, hi 2^e].  Both matrices
+# are nonnegative, so a product of enclosures is the product of the lower
 # and of the upper matrices, rounded outward (`_round_out`).  Exponent 0
-# means no rounding yet: lo = hi = M exactly.
+# means no rounding yet: lo = hi = the matrix exactly.
 
 
 def _round_out(lo: tuple, hi: tuple, e: int, bits: int):
@@ -311,20 +313,6 @@ def _enclosure_power(x, k: int, bits: int):
         x = _enclosure_product(x, x, bits)
 
 
-def _phi_power_enclosure(s: int, bits: int):
-    """(lo, hi, e) with phi^s in [lo 2^e, hi 2^e], s >= 0, by powering the
-    `bits`-bit enclosure of phi with outward rounding."""
-    k = bits - 1
-    floor_phi = ((1 << k) + isqrt(5 << 2 * k)) >> 1  # floor(phi 2^k)
-    lo, hi, e = (1,), (1,), 0
-    for bit in bin(s)[2:]:
-        lo, hi, e = _round_out((lo[0] * lo[0],), (hi[0] * hi[0],), 2 * e, bits)
-        if bit == "1":
-            lo, hi, e = _round_out((lo[0] * floor_phi,), (hi[0] * (floor_phi + 1),),
-                                   e - k, bits)
-    return lo[0], hi[0], e
-
-
 def _compare_scaled(a: int, x: int, b: int, y: int) -> int:
     """Sign of a 2^x - b 2^y for integers a, b >= 0."""
     if not (a and b):  # a lower mantissa may round down to 0
@@ -342,26 +330,26 @@ class _Undecided(Exception):
     """A descent step whose enclosures do not separate."""
 
 
-def _node_sign(p: int, q: int, enclosure, bits: int) -> int:
-    """Sign of lambda^2 - phi^S for the node's word, S = 13q + 2p.
+def _node_sign(node) -> int:
+    """Sign of lambda^2 - phi^S for the node's word.
 
-    An exact node takes the integer route (`_verdict_sign`), which also
-    decides Boundary.  Otherwise, as x + 1/x increases for x > 1, the sign is
-    that of (T^2 - 2) - (phi^S + phi^-S), T the trace, with phi^-S in (0, 1)
-    and the enclosure's exponent e >= 1:
-      T^2 - 2 > phi^S + phi^-S  if  (t_lo^2 - 1) 4^e >= phi^S_hi, and
-      T^2 - 2 < phi^S + phi^-S  if  t_hi^2 4^e <= phi^S_lo.
+    A node with an exact M takes the integer route (`_verdict_sign`), which
+    also decides Boundary.  Otherwise, as x + 1/x increases for x > 1, the
+    sign is that of (T^2 - 2) - (phi^S + phi^-S), T = tr(M).  The trace of
+    F^S is the Lucas number L_S = phi^S + (-phi)^-S, so phi^S + phi^-S lies
+    in [L_S, L_S + 2).  With T in [t_lo 2^e, t_hi 2^e], e >= 1, and L_S in
+    [l_lo 2^f, l_hi 2^f]:
+      T^2 - 2 > phi^S + phi^-S  if  (t_lo^2 - 1) 4^e >= l_hi 2^f, and
+      T^2 - 2 < phi^S + phi^-S  if  t_hi^2 4^e <= l_lo 2^f.
     Raises _Undecided when neither holds.
     """
-    lo, hi, e = enclosure
-    s = 13 * q + 2 * p
+    p, q, (lo, hi, e), (flo, fhi, f) = node
     if e == 0:
-        return _verdict_sign(lo[0] + lo[3], s)[0]
+        return _verdict_sign(lo[0] + lo[3], 13 * q + 2 * p)[0]
     t_lo, t_hi = lo[0] + lo[3], hi[0] + hi[3]
-    phi_lo, phi_hi, f = _phi_power_enclosure(s, bits)
-    if _compare_scaled(max(t_lo * t_lo - 1, 0), 2 * e, phi_hi, f) >= 0:
+    if _compare_scaled(max(t_lo * t_lo - 1, 0), 2 * e, fhi[0] + fhi[3], f) >= 0:
         return 1
-    if _compare_scaled(t_hi * t_hi, 2 * e, phi_lo, f) <= 0:
+    if _compare_scaled(t_hi * t_hi, 2 * e, flo[0] + flo[3], f) <= 0:
         return -1
     raise _Undecided(Fraction(p, q))
 
@@ -373,26 +361,39 @@ def _run_node(near, far, k: int, near_left: bool, bits: int):
     standard factorization of Christoffel words at Farey neighbours): near*k
     + far when near is the left endpoint, far + near*k otherwise.  So its
     matrix is the endpoint matrices multiplied in the same order,
-    M(near)^k M(far) or M(far) M(near)^k: O(log k) enclosure products.
+    M(near)^k M(far) or M(far) M(near)^k: O(log k) enclosure products.  Its
+    weighted sum is k S(near) + S(far), and F's powers commute, so its
+    Fibonacci power is F^S(near)^k F^S(far) in either order.
     """
-    (p, q, m), (fp, fq, fm) = near, far
+    (p, q, m, f), (p2, q2, m2, f2) = near, far
     mk = _enclosure_power(m, k, bits)
     if near_left:
-        m = _enclosure_product(mk, fm, bits)
+        m = _enclosure_product(mk, m2, bits)
     else:
-        m = _enclosure_product(fm, mk, bits)
-    return k * p + fp, k * q + fq, m
+        m = _enclosure_product(m2, mk, bits)
+    f = _enclosure_product(_enclosure_power(f, k, bits), f2, bits)
+    return k * p + p2, k * q + q2, m, f
+
+
+def _anchor(p: int):
+    """The word c734_word(p, 1) and its exact node: S = 13 + 2p, and
+    F^S = [[F(S+1), F(S)], [F(S), F(S-1)]] in Fibonacci numbers."""
+    word = c734_word(p, 1)
+    m = cf._quotient_matrix(word)
+    fib, fib_next = _fibonacci_pair(13 + 2 * p)
+    f = (fib_next, fib, fib, fib_next - fib)
+    return word, (p, 1, (m, m, 0), (f, f, 0))
 
 
 def _mantissa_bits(eps: Fraction) -> int:
     """The starting mantissa bits of the descent at eps: log2(1/eps) + 40.
 
-    A step at q needs about 2 log2(q) + 10 bits: phi^S's relative width
-    grows as S 2^-bits, and along the descents through 1e-9
+    A step at q needs about 2 log2(q) + 10 bits: the relative widths of a
+    node's enclosures of T and L_S stay below 0.3 q 2^-bits along the
+    descents at 1e-15, 1e-40 and 1e-100, and along the descents through 1e-9
     q |2 ln(lambda) - S ln(phi)| >= 0.018, while q^2 is about 1/eps.  On 60
-    log-uniform eps in [1e-60, 1e-3], log2(1/eps) + 16 bits left 2
-    descents with an undecided step and + 24 none, so + 40 keeps 16 bits
-    spare.
+    log-uniform eps in [1e-60, 1e-3], log2(1/eps) + 6 bits left 7 descents
+    with an undecided step and + 8 none, so + 40 keeps 32 bits spare.
     """
     return max(64, eps.denominator.bit_length() - eps.numerator.bit_length() + 40)
 
@@ -408,8 +409,8 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
     Runs after the two anchors take at most ~2 log2(1/eps) steps.
 
     The anchors are classified from their words.  Every later node carries
-    an outward-rounded enclosure of its quotient matrix (`_run_node`), and
-    its verdict is decided by `_node_sign`.  The mantissa bits come from
+    outward-rounded enclosures of its quotient matrix and of its Fibonacci
+    power (`_run_node`), and its verdict is decided by `_node_sign`.  The mantissa bits come from
     eps; a step whose enclosures do not separate reruns the whole descent
     at twice the bits, and after _DOUBLINGS reruns CapExceededError is
     raised.  eps below KAPPA2_EPS_FLOOR raises CapExceededError at once.
@@ -421,13 +422,8 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
         raise CapExceededError(
             f"eps is below the kappa2 floor {float(KAPPA2_EPS_FLOOR):.0e}")
 
-    def anchor(p):
-        word = c734_word(p, 1)
-        m = cf._quotient_matrix(word)
-        return word, (p, 1, (m, m, 0))
-
     # family anchors, classified during initialization (not bisection steps)
-    (lo_word, lo), (hi_word, hi) = anchor(0), anchor(1)
+    (lo_word, lo), (hi_word, hi) = _anchor(0), _anchor(1)
     if classify(PeriodicCF((), lo_word)) is not Classification.DERIV_INFINITY or \
             classify(PeriodicCF((), hi_word)) is not Classification.DERIV_ZERO:
         raise AssertionError("family anchors do not bracket the threshold")
@@ -449,10 +445,9 @@ def _descend(eps: Fraction, lo, hi, bits: int) -> KappaBracket:
 
     def verdict(node) -> Classification:
         # a Stern-Brocot descent never meets a density twice
-        p, q, m = node
-        cls = _BY_SIGN[_node_sign(p, q, m, bits)]
-        density = Fraction(p, q)
-        trace.append(BracketStep(len(trace) + 1, density, 2 * q,
+        cls = _BY_SIGN[_node_sign(node)]
+        density = Fraction(node[0], node[1])
+        trace.append(BracketStep(len(trace) + 1, density, 2 * node[1],
                                  13 + 2 * density, cls))
         return cls
 

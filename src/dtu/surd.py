@@ -90,14 +90,6 @@ class QuadraticSurd:
         den = u.denominator * v.denominator // gcd(u.denominator, v.denominator)
         return cls(int(u * den), int(v * den), 2 * den, 5)
 
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError("value is irrational")
-        return Fraction(self.p, self.r)
-
     # -- field-aware arithmetic ---------------------------------------------
 
     @staticmethod

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 from . import cf
 from .cf import Orientation, PeriodicCF
-from .classify import (WITNESS_QUOTIENTS_MAX, Classification, KappaBracket,
-                       classify, kappa, kappa2_bracket)
+from .classify import (Classification, KappaBracket, classify, kappa,
+                       kappa2_bracket)
 from .encode import fraction_str, seq_str
+from .errors import CapExceededError
 from .golden import GoldenScalar
 
 _SEED = 0x5F3759
@@ -241,19 +242,19 @@ def report_json(report: VerifyReport) -> str:
 def kappa2_payload(bracket: KappaBracket) -> dict:
     """The enclosure's endpoints, witnesses and step count, encoded.
 
-    A witness of at most WITNESS_QUOTIENTS_MAX quotients is its period,
-    under witness_lo or witness_hi; a longer one, which the bracket does not
-    build, is its density p/q, under witness_lo_density or
-    witness_hi_density.
+    A witness that the bracket builds is its period, under witness_lo or
+    witness_hi; one past the bracket's cap, which it refuses to build, is its
+    density p/q, under witness_lo_density or witness_hi_density.
     """
     payload = {"lo": fraction_str(bracket.lo), "hi": fraction_str(bracket.hi),
                "steps": len(bracket.trace)}
     for side, density in (("lo", bracket.density_lo), ("hi", bracket.density_hi)):
-        if 2 * density.denominator <= WITNESS_QUOTIENTS_MAX:
+        try:
             witness = getattr(bracket, "witness_" + side)
-            payload["witness_" + side] = seq_str(witness.period)
-        else:
+        except CapExceededError:
             payload[f"witness_{side}_density"] = fraction_str(density)
+        else:
+            payload["witness_" + side] = seq_str(witness.period)
     return payload
 
 

@@ -304,39 +304,62 @@ def test_c734_words_factor_at_farey_neighbours():
         assert c734_word(a + c, b + d) == c734_word(a, b) + c734_word(c, d)
 
 
+def _fibonacci_power(n):
+    """F^n for F = [[1, 1], [1, 0]], flat, by repeated squaring."""
+    result, square = (1, 0, 0, 1), (1, 1, 1, 0)
+    while n:
+        if n & 1:
+            result = cf._matrix_product(result, square)
+        n >>= 1
+        square = cf._matrix_product(square, square)
+    return result
+
+
+def _exact_node(p, q):
+    """The descent's node for c734_word(p, q), with its matrices exact."""
+    # unchecked: c734_word's words are valid
+    m = cf._quotient_matrix(c734_word(p, q))
+    f = _fibonacci_power(13 * q + 2 * p)
+    return p, q, (m, m, 0), (f, f, 0)
+
+
 def test_run_node_matrix_is_the_quotient_matrix_of_its_word():
     # the whole matrix, not only its trace: the trace is invariant under
     # rotation, so only the full matrix tells M(near)^k M(far) from
-    # M(far) M(near)^k.  At 8-bit mantissas the enclosure must contain the
-    # node word's matrix; with room for every entry it must equal it.
-    def node(p, q, m):
-        return p, q, (m, m, 0)
-
+    # M(far) M(near)^k.  At 8-bit mantissas the enclosures must contain the
+    # node word's matrix and F^S, S = 13q + 2p; with room for every entry
+    # they must equal them.
     exact_bits = 1 << 16
     for (a, b), (c, d) in farey_neighbours():
-        ends = [(a, b, cf._quotient_matrix(c734_word(a, b))),
-                (c, d, cf._quotient_matrix(c734_word(c, d)))]
-        lo, hi = node(*ends[0]), node(*ends[1])
+        lo, hi = _exact_node(a, b), _exact_node(c, d)
         for k in (1, 2, 3, 5):
             for near_left in (True, False):
                 near, far = (lo, hi) if near_left else (hi, lo)
-                p, q, (mlo, mhi, e) = _run_node(near, far, k, near_left, 8)
+                p, q, *enclosures = _run_node(near, far, k, near_left, 8)
                 assert (p, q) == (k * near[0] + far[0], k * near[1] + far[1])
-                # unchecked: c734_word's words are valid
-                m = cf._quotient_matrix(c734_word(p, q))
-                assert all(x << e <= y <= z << e
-                           for x, y, z in zip(mlo, m, mhi)), (a, b, c, d, k)
-                assert max(mhi) <= 1 << 8
-                assert _run_node(near, far, k, near_left, exact_bits) == \
-                    (p, q, (m, m, 0)), (a, b, c, d, k, near_left)
+                exact = _exact_node(p, q)
+                for (xlo, xhi, e), (x, _, _) in zip(enclosures, exact[2:]):
+                    assert all(u << e <= v <= w << e
+                               for u, v, w in zip(xlo, x, xhi)), (a, b, c, d, k)
+                    assert max(xhi) <= 1 << 8
+                assert _run_node(near, far, k, near_left, exact_bits) == exact, \
+                    (a, b, c, d, k, near_left)
+
+
+def test_anchors_are_exact_nodes():
+    # F^n = [[F(n+1), F(n)], [F(n), F(n-1)]]
+    assert _fibonacci_power(13) == (377, 233, 233, 144)
+    assert _fibonacci_power(15) == (987, 610, 610, 377)
+    classify_module = importlib.import_module("dtu.classify")
+    for p in (0, 1):
+        assert classify_module._anchor(p) == (c734_word(p, 1), _exact_node(p, 1))
 
 
 def _descend(eps, bits):
     """The descent from the anchor nodes 0/1 and 1/1 at `bits`-bit mantissas."""
-    anchors = [(p, 1, (m, m, 0)) for p, m in
-               ((0, cf._quotient_matrix(c734_word(0, 1))),
-                (1, cf._quotient_matrix(c734_word(1, 1))))]
-    return importlib.import_module("dtu.classify")._descend(eps, *anchors, bits)
+    classify_module = importlib.import_module("dtu.classify")
+    anchors = [classify_module._anchor(p)[1] for p in (0, 1)]
+    return classify_module._descend(eps, *anchors, bits)
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 500), Fraction(1, 10 ** 6),
@@ -366,56 +389,46 @@ def test_interval_sign_is_the_exact_sign_or_undecided(bits):
     for (a, b), (c, d) in farey_neighbours():
         if b + d > 60:
             continue
-        ends = [(x, y, (m, m, 0)) for x, y, m in
-                ((a, b, cf._quotient_matrix(c734_word(a, b))),
-                 (c, d, cf._quotient_matrix(c734_word(c, d))))]
+        ends = [_exact_node(a, b), _exact_node(c, d)]
         for k in (1, 2, 7):
             for near_left in (True, False):
                 near, far = ends if near_left else ends[::-1]
-                p, q, enclosure = _run_node(near, far, k, near_left, bits)
+                node = _run_node(near, far, k, near_left, bits)
+                p, q, (_, _, e), _ = node
                 m = cf._quotient_matrix(c734_word(p, q))
                 exact = classify_module._verdict_sign(m[0] + m[3], 13 * q + 2 * p)[0]
                 try:
-                    sign = classify_module._node_sign(p, q, enclosure, bits)
+                    sign = classify_module._node_sign(node)
                 except classify_module._Undecided:
                     continue
-                decided += enclosure[2] > 0
+                decided += e > 0
                 assert sign == exact, (p, q)
     assert decided > 50
 
 
-@pytest.mark.parametrize("t_lo, t_hi, phi_s, sign", [
-    (3, 3, 36, -1),  # T^2 = phi^S: T^2 - 2 < phi^S + phi^-S
-    (3, 3, 30, 1),  # T^2 - 2 = 34 > 31 >= phi^S + phi^-S
-    (3, 3, 33, None),  # true sign +1, but within the rule's slack of 3
-    (3, 4, 50, None),  # T^2 in [36, 64] straddles phi^S
+@pytest.mark.parametrize("t_lo, t_hi, lucas, sign", [
+    (3, 3, 36, -1),  # T^2 = L_S: T^2 - 2 < L_S <= phi^S + phi^-S
+    (3, 3, 30, 1),  # T^2 - 2 = 34 > 32 > phi^S + phi^-S
+    (3, 3, 33, None),  # true sign +1 for an even S, but within the rule's slack
+    (3, 4, 50, None),  # T^2 in [36, 64] straddles L_S
 ])
-def test_node_sign_rule_on_given_enclosures(monkeypatch, t_lo, t_hi, phi_s, sign):
-    # T in [2 t_lo, 2 t_hi] and phi^S = phi_s exactly, to test the decision
-    # rule of _node_sign apart from the enclosures it is given
+def test_node_sign_rule_on_given_enclosures(t_lo, t_hi, lucas, sign):
+    # T in [2 t_lo, 2 t_hi] and L_S = tr(F^S) = lucas exactly, to test the
+    # decision rule of _node_sign apart from the enclosures it is given
     classify_module = importlib.import_module("dtu.classify")
-    monkeypatch.setattr(classify_module, "_phi_power_enclosure",
-                        lambda s, bits: (phi_s, phi_s, 0))
-    enclosure = ((t_lo, 0, 0, 0), (t_hi, 0, 0, 0), 1)
-    if sign is None:
-        with pytest.raises(classify_module._Undecided):
-            classify_module._node_sign(1, 38, enclosure, 64)
-    else:
-        assert classify_module._node_sign(1, 38, enclosure, 64) == sign
 
+    def node_sign(l_lo, l_hi):
+        node = (1, 38, ((t_lo, 0, 0, 0), (t_hi, 0, 0, 0), 1),
+                ((l_lo - 10, 0, 0, 10), (l_hi - 10, 0, 0, 10), 0))
+        try:
+            return classify_module._node_sign(node)
+        except classify_module._Undecided:
+            return None
 
-@pytest.mark.parametrize("bits", [8, 12, 64, 200])
-def test_phi_power_enclosure_contains_phi_power(bits):
-    classify_module = importlib.import_module("dtu.classify")
-    for s in list(range(0, 300)) + [1000, 4097, 65535]:
-        lo, hi, e = classify_module._phi_power_enclosure(s, bits)
-        assert hi <= 1 << bits
-        scale = Fraction(2) ** e
-        exact = GoldenScalar.phi_power(s)
-        assert compare_values(lo * scale, exact) <= 0 <= compare_values(hi * scale, exact), s
-    if bits >= 64:  # phi^1000 to better than 20 bits
-        lo, hi, _ = classify_module._phi_power_enclosure(1000, bits)
-        assert (hi - lo) << 20 < lo
+    assert node_sign(lucas, lucas) == sign
+    # a wider enclosure of L_S decides a sign only when both its ends do
+    below, above = node_sign(lucas - 1, lucas - 1), node_sign(lucas + 1, lucas + 1)
+    assert node_sign(lucas - 1, lucas + 1) == (below if below == above else None)
 
 
 def test_kappa2_brackets_nest_down_to_1e40():
@@ -450,8 +463,8 @@ def test_kappa2_undecided_steps_rerun_at_doubled_precision(monkeypatch):
     assert runs == [8, 16, 32, 64][:len(runs)] and len(runs) > 1
     assert (br.lo, br.hi, br.trace) == (expected.lo, expected.hi, expected.trace)
 
-    def undecided(p, q, enclosure, bits):
-        raise classify_module._Undecided(Fraction(p, q))
+    def undecided(node):
+        raise classify_module._Undecided(Fraction(node[0], node[1]))
 
     runs.clear()
     monkeypatch.setattr(classify_module, "_node_sign", undecided)

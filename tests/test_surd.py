@@ -146,7 +146,7 @@ def test_bounds_width_below_half_an_ulp_of_bits(bits):
 
 def test_rational_surds():
     s = QuadraticSurd.from_fraction(Fraction(-3, 7))
-    assert s.is_rational() and s.as_fraction() == Fraction(-3, 7)
+    assert s.q == 0 and Fraction(s.p, s.r) == Fraction(-3, 7)
     assert s < 0 < s + 1
 
 
