@@ -431,6 +431,26 @@ def test_node_sign_rule_on_given_enclosures(t_lo, t_hi, lucas, sign):
     assert node_sign(lucas - 1, lucas + 1) == (below if below == above else None)
 
 
+@pytest.mark.parametrize("bits", [8, 12, 64, 200])
+def test_phi_power_enclosure_contains_phi_power(bits):
+    # phi^S reaches _node_sign through an enclosure of F^S: its entries
+    # F(S+1), F(S), F(S-1) give phi^S = F(S) phi + F(S-1) and its trace L_S
+    classify_module = importlib.import_module("dtu.classify")
+    fib = ((1, 1, 1, 0), (1, 1, 1, 0), 0)
+    for s in list(range(1, 300)) + [1000, 4097, 65535]:
+        lo, hi, e = classify_module._enclosure_power(fib, s, bits)
+        assert max(hi) <= 1 << bits
+        exact = _fibonacci_power(s)
+        assert all(u << e <= v <= w << e for u, v, w in zip(lo, exact, hi)), s
+        scale = Fraction(2) ** e
+        phi_s = GoldenScalar.phi_power(s)
+        assert compare_values(GoldenScalar(lo[3] * scale, lo[1] * scale), phi_s) <= 0, s
+        assert compare_values(GoldenScalar(hi[3] * scale, hi[1] * scale), phi_s) >= 0, s
+    if bits >= 64:  # F^1000, so phi^1000 and L_1000, to better than 20 bits
+        lo, hi, _ = classify_module._enclosure_power(fib, 1000, bits)
+        assert all((w - u) << 20 < u for u, w in zip(lo, hi))
+
+
 def test_kappa2_brackets_nest_down_to_1e40():
     previous = None
     for k in range(2, 41):
