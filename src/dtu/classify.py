@@ -113,15 +113,12 @@ def _verdict_sign(trace: int, s: int) -> tuple[int, GoldenScalar, int]:
     """Sign of lambda^2 - phi^S, with phi^S and L_S, for an even period whose
     quotient matrix M has trace `trace` and weighted sum s.
 
-    The sign is that of tr(M^4) - L_2S (module docstring); L_S = 2a + b for
+    The sign is that of tr(M^4) - L_2S (`_sign_terms`); L_S = 2a + b for
     phi^S = a + b phi.
     """
     phi_s = GoldenScalar.phi_power(s)
     lucas = int(2 * phi_s.a + phi_s.b)
-    tr_m2 = trace * trace - 2
-    sign = compare_values(tr_m2 * tr_m2 - 2,  # tr(M^4)
-                          lucas * lucas - (2 if s % 2 == 0 else -2))  # L_2S
-    return sign, phi_s, lucas
+    return compare_values(*_sign_terms(trace, lucas, s)), phi_s, lucas
 
 
 def classify_verdict(x: PeriodicCF, o: Orientation = Orientation.PHI) -> Verdict:
@@ -181,7 +178,7 @@ def envelope(prefix, o: Orientation, side: EnvelopeSide) -> EnvelopeBound:
 # -- kappa2 bracketing ----------------------------------------------------------
 
 # The least eps that kappa2_bracket accepts; a smaller one is refused before
-# any work.  At 1e-100 the descent takes 350 steps in 25-50 ms (Xeon,
+# any work.  At 1e-100 the descent takes 350 steps in 10-12 ms (Xeon,
 # CPython 3.11), with 372-bit mantissas and nodes of q up to 2^168.
 KAPPA2_EPS_FLOOR = Fraction(1, 10 ** 100)
 # an undecided step reruns the descent at twice the mantissa bits, at most
@@ -273,44 +270,118 @@ def c734_word(p: int, q: int) -> Quotients:
             return (left + right) * g
 
 
-# A node of the descent is (p, q, m, f) for the word c734_word(p, q) of
-# weighted sum S = 13q + 2p.  m and f are enclosures of the word's quotient
-# matrix M and of the Fibonacci power F^S, F = [[1, 1], [1, 0]].  An
-# enclosure (lo, hi, e) holds flat 2x2 matrices of mantissas with one
-# exponent: the matrix lies entrywise in [lo 2^e, hi 2^e].  Both matrices
-# are nonnegative, so a product of enclosures is the product of the lower
-# and of the upper matrices, rounded outward (`_round_out`).  Exponent 0
-# means no rounding yet: lo = hi = the matrix exactly.
+# A node of the descent is (p, q, t, l) for the word c734_word(p, q) of
+# weighted sum S = 13q + 2p: t and l enclose the trace T of the word's
+# quotient matrix M and the Lucas number L_S, the trace of the Fibonacci
+# power F^S, F = [[1, 1], [1, 0]].  An enclosure (lo, hi, e) of a number
+# x >= 0 holds mantissas of at most `bits` bits: lo 2^e <= x <= hi 2^e.
+# Exponent 0 means no rounding yet: lo = hi = x exactly.
 
 
-def _round_out(lo: tuple, hi: tuple, e: int, bits: int):
-    """The enclosure with `bits`-bit mantissas: the nonnegative mantissas are
-    shifted right together, the lower ones rounded down, the upper ones up."""
-    shift = max(hi).bit_length() - bits
-    if shift <= 0:
-        return lo, hi, e
-    return (tuple(x >> shift for x in lo), tuple(-(-x >> shift) for x in hi),
-            e + shift)
+def _combine(a, b, c, d, sign: int, bits: int):
+    """Enclosure of a b - sign c d, sign = +-1, for enclosures a, b, c, d.
+
+    The product of the smaller exponent is rounded outward to the larger
+    one; deep in a descent c d is often below one unit of a b, and is then
+    not multiplied out.  The lower bound takes the lower product minus the
+    upper one, the upper bound the reverse, and both are then rounded
+    outward to `bits` bits.  The scheme needs every value nonnegative: a
+    lower bound below 0 is raised to 0, and an upper bound below 0 means
+    the enclosures were wrong."""
+    (alo, ahi, ae), (blo, bhi, be), (clo, chi, ce), (dlo, dhi, de) = a, b, c, d
+    xlo, xhi, e = alo * blo, ahi * bhi, ae + be
+    y = ce + de
+    if y + chi.bit_length() + dhi.bit_length() <= e:  # c d < 2^e
+        ylo, yhi = 0, 1 if chi and dhi else 0
+    elif e > y:
+        ylo, yhi = clo * dlo >> e - y, -(-chi * dhi >> e - y)
+    else:
+        ylo, yhi = clo * dlo, chi * dhi
+    if y > e:
+        xlo, xhi, e = xlo >> y - e, -(-xhi >> y - e), y
+    if sign < 0:
+        lo, hi = xlo + ylo, xhi + yhi
+    else:
+        lo, hi = xlo - yhi, xhi - ylo
+        if hi < 0:
+            raise AssertionError("a nonnegative difference has a negative enclosure")
+        if lo < 0:
+            lo = 0
+    shift = hi.bit_length() - bits
+    if shift > 0:
+        return lo >> shift, -(-hi >> shift), e + shift
+    return lo, hi, e
 
 
-def _enclosure_product(x, y, bits: int):
-    """Enclosure of the product of the matrices enclosed by x and y."""
-    (xlo, xhi, xe), (ylo, yhi, ye) = x, y
-    hi = cf._matrix_product(xhi, yhi)
-    lo = hi if xe == ye == 0 else cf._matrix_product(xlo, ylo)
-    return _round_out(lo, hi, xe + ye, bits)
+_ZERO, _ONE = (0, 0, 0), (1, 1, 0)
 
 
-def _enclosure_power(x, k: int, bits: int):
-    """Enclosure of the k-th power, k >= 1, by repeated squaring."""
-    result = None
-    while True:
-        if k & 1:
-            result = x if result is None else _enclosure_product(result, x, bits)
-        k >>= 1
-        if not k:
-            return result
-        x = _enclosure_product(x, x, bits)
+def _determinant(node) -> int:
+    """det M = 1, as the word has even length, and det F^S = (-1)^S, where
+    S = 13q + 2p is odd with q."""
+    return -1 if node[1] % 2 else 1
+
+
+def _mediant(inside, outside, near, bits: int):
+    """The mediant of the nodes k*near + far and (k+1)*near + far.
+
+    Its word is theirs concatenated, so its matrices are the products XY or
+    YX, X outside's and Y inside's.  For 2x2 matrices tr(XY) = tr(X) tr(Y)
+    - det(Y) tr(X Y^-1), and X Y^-1 is near's matrix or conjugate to it."""
+    return (inside[0] + outside[0], inside[1] + outside[1],
+            _combine(inside[2], outside[2], near[2], _ONE, 1, bits),
+            _combine(inside[3], outside[3], near[3], _ONE, _determinant(inside), bits))
+
+
+class _Run:
+    """The nodes k*near + far, k >= 1, of one Stern-Brocot run.
+
+    Node k's word is near's word k times and far's, in the order of the
+    mediant's (k = 1) word, so its matrix is A^k B or B A^k, with A near's
+    matrix and B far's; this holds for M and, as powers of F commute, for
+    F^S.  With Q = det A, Cayley-Hamilton gives A^k = U_k A - Q U_{k-1} I
+    for the Lucas sequence U_0 = 0, U_1 = 1, U_{k+1} = tr(A) U_k - Q U_{k-1},
+    so node k's trace is U_k tr(C) - Q U_{k-1} tr(B), C the mediant's
+    matrix.  Every U_k is nonnegative, as tr(A) >= 2 when Q = 1.
+
+    A state holds (U_{k-1}, U_k) for M, then for F^S.  The ladder holds
+    (U_{n-1}, U_n, U_{n+1}) for M, then for F^S, at n = 2^i; through
+    U_{m+n} = U_m U_{n+1} - Q U_{m-1} U_n, `double` extends it and
+    `advance` moves a state by n.
+    """
+
+    def __init__(self, near, far, mediant, bits: int):
+        self.near, self.far, self.bits = near, far, bits
+        self.sign = _determinant(near)
+        self.ladder = [(_ZERO, _ONE, near[2], _ZERO, _ONE, near[3])]
+        self.traces = (mediant[2], far[2], mediant[3], far[3])
+
+    def double(self):
+        """The state at twice the ladder's last n, extending the ladder."""
+        m0, m1, m2, f0, f1, f2 = self.ladder[-1]
+        bits, s = self.bits, self.sign
+        rung = (_combine(m1, m1, m0, m0, 1, bits), _combine(m1, m2, m0, m1, 1, bits),
+                _combine(m2, m2, m1, m1, 1, bits),
+                _combine(f1, f1, f0, f0, s, bits), _combine(f1, f2, f0, f1, s, bits),
+                _combine(f2, f2, f1, f1, s, bits))
+        self.ladder.append(rung)
+        return rung[0], rung[1], rung[3], rung[4]
+
+    def advance(self, state, i: int):
+        """The state at k + 2^i from the state at k."""
+        m0, m1, f0, f1 = state
+        r0, r1, r2, g0, g1, g2 = self.ladder[i]
+        bits, s = self.bits, self.sign
+        return (_combine(m1, r1, m0, r0, 1, bits), _combine(m1, r2, m0, r1, 1, bits),
+                _combine(f1, g1, f0, g0, s, bits), _combine(f1, g2, f0, g1, s, bits))
+
+    def node(self, k: int, state):
+        """Node k, from its state."""
+        m0, m1, f0, f1 = state
+        t1, t0, l1, l0 = self.traces
+        (p, q, *_), (p0, q0, *_) = self.near, self.far
+        return (k * p + p0, k * q + q0, _combine(m1, t1, m0, t0, 1, self.bits),
+                _combine(f1, l1, f0, l0, self.sign, self.bits))
 
 
 def _compare_scaled(a: int, x: int, b: int, y: int) -> int:
@@ -330,70 +401,70 @@ class _Undecided(Exception):
     """A descent step whose enclosures do not separate."""
 
 
-def _node_sign(node) -> int:
-    """Sign of lambda^2 - phi^S for the node's word.
+def _sign_terms(trace: int, lucas: int, s: int) -> tuple[int, int]:
+    """tr(M^4) and L_2S, for an even word whose quotient matrix M has trace
+    `trace` and weighted sum s with L_S = `lucas`: lambda^2 - phi^S has the
+    sign of their difference (module docstring)."""
+    tr_m2 = trace * trace - 2
+    return tr_m2 * tr_m2 - 2, lucas * lucas - (2 if s % 2 == 0 else -2)
 
-    A node with an exact M takes the integer route (`_verdict_sign`), which
-    also decides Boundary.  Otherwise, as x + 1/x increases for x > 1, the
-    sign is that of (T^2 - 2) - (phi^S + phi^-S), T = tr(M).  The trace of
-    F^S is the Lucas number L_S = phi^S + (-phi)^-S, so phi^S + phi^-S lies
-    in [L_S, L_S + 2).  With T in [t_lo 2^e, t_hi 2^e], e >= 1, and L_S in
-    [l_lo 2^f, l_hi 2^f]:
+
+def _node_sign(p: int, q: int, t, l) -> int:
+    """Sign of lambda^2 - phi^S for the word c734_word(p, q), S = 13q + 2p,
+    from enclosures t of T = tr(M) and l of L_S.
+
+    An exact T (exponent 0) takes the integer route (`_sign_terms`, with
+    L_S from the Fibonacci numbers), which also decides Boundary.
+    Otherwise, as x + 1/x increases for x > 1, the sign is that of
+    (T^2 - 2) - (phi^S + phi^-S), and L_S = phi^S + (-phi)^-S, so
+    phi^S + phi^-S lies in [L_S, L_S + 2).  With T in [t_lo 2^e, t_hi 2^e],
+    e >= 1, and L_S in [l_lo 2^f, l_hi 2^f]:
       T^2 - 2 > phi^S + phi^-S  if  (t_lo^2 - 1) 4^e >= l_hi 2^f, and
       T^2 - 2 < phi^S + phi^-S  if  t_hi^2 4^e <= l_lo 2^f.
     Raises _Undecided when neither holds.
     """
-    p, q, (lo, hi, e), (flo, fhi, f) = node
-    if e == 0:
-        return _verdict_sign(lo[0] + lo[3], 13 * q + 2 * p)[0]
-    t_lo, t_hi = lo[0] + lo[3], hi[0] + hi[3]
-    if _compare_scaled(max(t_lo * t_lo - 1, 0), 2 * e, fhi[0] + fhi[3], f) >= 0:
+    t_lo, t_hi, e = t
+    if not e:
+        s = 13 * q + 2 * p
+        fib, fib_next = _fibonacci_pair(s)
+        tr_m4, lucas_2s = _sign_terms(t_lo, 2 * fib_next - fib, s)
+        return (tr_m4 > lucas_2s) - (tr_m4 < lucas_2s)
+    l_lo, l_hi, f = l
+    if _compare_scaled(max(t_lo * t_lo - 1, 0), 2 * e, l_hi, f) >= 0:
         return 1
-    if _compare_scaled(t_hi * t_hi, 2 * e, flo[0] + flo[3], f) <= 0:
+    if _compare_scaled(t_hi * t_hi, 2 * e, l_lo, f) <= 0:
         return -1
     raise _Undecided(Fraction(p, q))
 
 
-def _run_node(near, far, k: int, near_left: bool, bits: int):
-    """The node k*near + far of a Stern-Brocot run.
-
-    Its word is the endpoint words concatenated, the left one first (the
-    standard factorization of Christoffel words at Farey neighbours): near*k
-    + far when near is the left endpoint, far + near*k otherwise.  So its
-    matrix is the endpoint matrices multiplied in the same order,
-    M(near)^k M(far) or M(far) M(near)^k: O(log k) enclosure products.  Its
-    weighted sum is k S(near) + S(far), and F's powers commute, so its
-    Fibonacci power is F^S(near)^k F^S(far) in either order.
-    """
-    (p, q, m, f), (p2, q2, m2, f2) = near, far
-    mk = _enclosure_power(m, k, bits)
-    if near_left:
-        m = _enclosure_product(mk, m2, bits)
-    else:
-        m = _enclosure_product(m2, mk, bits)
-    f = _enclosure_product(_enclosure_power(f, k, bits), f2, bits)
-    return k * p + p2, k * q + q2, m, f
-
-
-def _anchor(p: int):
-    """The word c734_word(p, 1) and its exact node: S = 13 + 2p, and
-    F^S = [[F(S+1), F(S)], [F(S), F(S-1)]] in Fibonacci numbers."""
-    word = c734_word(p, 1)
+def _exact_node(p: int, q: int, word):
+    """The node of the word c734_word(p, q), from the word, exactly:
+    L_S = F(S-1) + F(S+1) in Fibonacci numbers."""
     m = cf._quotient_matrix(word)
-    fib, fib_next = _fibonacci_pair(13 + 2 * p)
-    f = (fib_next, fib, fib, fib_next - fib)
-    return word, (p, 1, (m, m, 0), (f, f, 0))
+    fib, fib_next = _fibonacci_pair(13 * q + 2 * p)
+    t, l = m[0] + m[3], 2 * fib_next - fib
+    return p, q, (t, t, 0), (l, l, 0)
+
+
+def _anchors():
+    """The anchor words c734_word(0, 1) and c734_word(1, 1), and the exact
+    nodes 0/1, 1/2 and 1/1 of the descent's first run; the mediant's word
+    is the anchor words concatenated."""
+    lo, hi = c734_word(0, 1), c734_word(1, 1)
+    return (lo, hi), (_exact_node(0, 1, lo), _exact_node(1, 2, lo + hi),
+                      _exact_node(1, 1, hi))
 
 
 def _mantissa_bits(eps: Fraction) -> int:
     """The starting mantissa bits of the descent at eps: log2(1/eps) + 40.
 
     A step at q needs about 2 log2(q) + 10 bits: the relative widths of a
-    node's enclosures of T and L_S stay below 0.3 q 2^-bits along the
-    descents at 1e-15, 1e-40 and 1e-100, and along the descents through 1e-9
-    q |2 ln(lambda) - S ln(phi)| >= 0.018, while q^2 is about 1/eps.  On 60
-    log-uniform eps in [1e-60, 1e-3], log2(1/eps) + 6 bits left 7 descents
-    with an undecided step and + 8 none, so + 40 keeps 32 bits spare.
+    node's enclosures of T and L_S, from the Lucas sequences of its run,
+    stay below 0.3 q 2^-bits along the descents at 1e-15, 1e-40 and
+    1e-100, and along the descents through 1e-9 q |2 ln(lambda) -
+    S ln(phi)| >= 0.018, while q^2 is about 1/eps.  On 60 log-uniform eps
+    in [1e-60, 1e-3], log2(1/eps) + 6 bits left 5 descents with an
+    undecided step and + 8 none, so + 40 keeps 32 bits spare.
     """
     return max(64, eps.denominator.bit_length() - eps.numerator.bit_length() + 40)
 
@@ -408,12 +479,13 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
     the loop stops once the density gap (half the kappa gap) is at most eps.
     Runs after the two anchors take at most ~2 log2(1/eps) steps.
 
-    The anchors are classified from their words.  Every later node carries
-    outward-rounded enclosures of its quotient matrix and of its Fibonacci
-    power (`_run_node`), and its verdict is decided by `_node_sign`.  The mantissa bits come from
-    eps; a step whose enclosures do not separate reruns the whole descent
-    at twice the bits, and after _DOUBLINGS reruns CapExceededError is
-    raised.  eps below KAPPA2_EPS_FLOOR raises CapExceededError at once.
+    The anchors are classified from their words.  Every later node is
+    decided by `_node_sign` on outward-rounded enclosures of its trace and
+    of L_S, found from its run's Lucas sequences (`_Run`).  The mantissa
+    bits come from eps; a step whose enclosures do not separate reruns the
+    whole descent at twice the bits, and after _DOUBLINGS reruns
+    CapExceededError is raised.  eps below KAPPA2_EPS_FLOOR raises
+    CapExceededError at once.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -423,7 +495,7 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
             f"eps is below the kappa2 floor {float(KAPPA2_EPS_FLOOR):.0e}")
 
     # family anchors, classified during initialization (not bisection steps)
-    (lo_word, lo), (hi_word, hi) = _anchor(0), _anchor(1)
+    (lo_word, hi_word), nodes = _anchors()
     if classify(PeriodicCF((), lo_word)) is not Classification.DERIV_INFINITY or \
             classify(PeriodicCF((), hi_word)) is not Classification.DERIV_ZERO:
         raise AssertionError("family anchors do not bracket the threshold")
@@ -431,57 +503,59 @@ def kappa2_bracket(eps: Fraction) -> KappaBracket:
     bits = _mantissa_bits(eps)
     for doubling in range(_DOUBLINGS + 1):
         try:
-            return _descend(eps, lo, hi, bits << doubling)
+            return _descend(eps, *nodes, bits << doubling)
         except _Undecided as exc:
             density = exc.args[0]
     raise CapExceededError(f"kappa2 step at density {density} undecided at"
                            f" {bits << _DOUBLINGS}-bit precision")
 
 
-def _descend(eps: Fraction, lo, hi, bits: int) -> KappaBracket:
-    """The Stern-Brocot descent from the anchor nodes lo < hi at `bits`-bit
-    mantissas; raises _Undecided at the first step it cannot decide."""
-    trace: list[BracketStep] = []
+def _descend(eps: Fraction, lo, mediant, hi, bits: int) -> KappaBracket:
+    """The Stern-Brocot descent from the Farey neighbours lo < hi, with
+    their mediant, at `bits`-bit mantissas; raises _Undecided at the first
+    step it cannot decide."""
+    rows: list[tuple[int, int, int]] = []  # (p, q, sign) of each step
+    num, den = eps.numerator, eps.denominator
 
-    def verdict(node) -> Classification:
-        # a Stern-Brocot descent never meets a density twice
-        cls = _BY_SIGN[_node_sign(node)]
-        density = Fraction(node[0], node[1])
-        trace.append(BracketStep(len(trace) + 1, density, 2 * node[1],
-                                 13 + 2 * density, cls))
-        return cls
+    def verdict(node) -> int:
+        sign = _node_sign(*node)
+        rows.append((node[0], node[1], sign))
+        return sign
 
-    def narrow(a, b) -> bool:
-        # neighbours p/q < p'/q' have p'q - pq' = 1, so their gap is 1/(qq')
-        return a[1] * b[1] * eps >= 1
-
-    while not narrow(lo, hi):
+    # neighbours p/q < p'/q' have p'q - pq' = 1, so their gap is 1/(qq')
+    while lo[1] * hi[1] * num < den:
         # one digit: the mediant's verdict names the endpoint `near` that the
         # run k*near + far approaches; the run keeps that verdict up to some k
-        inside = _run_node(lo, hi, 1, True, bits)
-        target = verdict(inside)
-        near_left = target is Classification.DERIV_ZERO
-        near, far = (lo, hi) if near_left else (hi, lo)
-        k = 1
+        target = verdict(mediant)
+        near, far = (lo, hi) if target < 0 else (hi, lo)
+        run = _Run(near, far, mediant, bits)
+        k, state, inside = 1, None, mediant
         while True:  # gallop: k = 2, 4, ...
-            out_k = 2 * k
-            outside = _run_node(near, far, out_k, near_left, bits)
-            if verdict(outside) is not target:
+            out_state = run.double()
+            outside = run.node(2 * k, out_state)
+            if verdict(outside) != target:
                 break
-            k, inside = out_k, outside
-            if narrow(near, inside):
+            k, state, inside = 2 * k, out_state, outside
+            if near[1] * inside[1] * num >= den:
                 # early stop: near, the run's limit, is already close enough
                 outside = near
                 break
-        while out_k - k > 1:  # bisect for the last k that keeps the verdict
-            mid = (k + out_k) // 2
-            node = _run_node(near, far, mid, near_left, bits)
-            if verdict(node) is target:
-                k, inside = mid, node
-            else:
-                out_k, outside = mid, node
-        lo, hi = (outside, inside) if near_left else (inside, outside)
+        if outside is not near:
+            # bisect for the last k that keeps the verdict: the gap to the
+            # outside node is the n of the ladder's last rung but one, so
+            # each halving advances by the next rung down
+            for i in reversed(range(len(run.ladder) - 2)):
+                mid_state = run.advance(state, i)
+                node = run.node(k + (1 << i), mid_state)
+                if verdict(node) == target:
+                    k, state, inside = k + (1 << i), mid_state, node
+                else:
+                    outside = node
+            mediant = _mediant(inside, outside, near, bits)
+        lo, hi = (outside, inside) if near is lo else (inside, outside)
 
-    return KappaBracket(lo=13 + 2 * Fraction(lo[0], lo[1]),
-                        hi=13 + 2 * Fraction(hi[0], hi[1]),
-                        trace=tuple(trace))
+    trace = tuple(BracketStep(i, Fraction(p, q), 2 * q, Fraction(13 * q + 2 * p, q),
+                              _BY_SIGN[sign])
+                  for i, (p, q, sign) in enumerate(rows, 1))
+    return KappaBracket(lo=Fraction(13 * lo[1] + 2 * lo[0], lo[1]),
+                        hi=Fraction(13 * hi[1] + 2 * hi[0], hi[1]), trace=trace)

@@ -96,8 +96,22 @@ def parse_surd(text: str) -> QuadraticSurd:
     return QuadraticSurd(int(m.group("p")), q, int(m.group("r")), int(m.group("d")))
 
 
+# bytes 0-9 to ASCII digits, every other byte to a non-digit
+_DIGIT_BYTES = bytes(range(48, 58)) + b"\xff" * 246
+
+
 def seq_str(seq) -> str:
-    return ",".join(str(a) for a in seq)
+    """The sequence of integers a_i as "a1,a2,...".  When every a_i is in
+    0-9 the digits come from one byte translation, the commas in between."""
+    try:
+        digits = bytes(seq).translate(_DIGIT_BYTES)
+    except ValueError:  # an a_i outside 0-255
+        digits = b""
+    if not digits.isdigit():  # also the empty sequence
+        return ",".join(str(a) for a in seq)
+    text = bytearray(b",") * (2 * len(digits) - 1)
+    text[::2] = digits
+    return text.decode()
 
 
 def parse_seq(text: str) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from dtu import cf
 from dtu.cf import Orientation, PeriodicCF
 from dtu.errors import CapExceededError
 from dtu.classify import (BracketStep, Classification, EnvelopeSide,
-                          KappaBracket, _run_node, c734_word, classify,
+                          KappaBracket, c734_word, classify,
                           classify_verdict, envelope, growth_rate, kappa,
                           kappa2_bracket)
 from dtu.golden import GoldenScalar
@@ -282,14 +282,14 @@ def test_kappa2_verdict_monotone_along_trace():
     assert max(infs) < min(zeros)
 
 
-def farey_neighbours(lo=(0, 1), hi=(1, 1)):
-    """Every Farey-neighbour pair a/b < c/d in [0, 1] with b + d <= 120."""
+def farey_neighbours(lo=(0, 1), hi=(1, 1), depth=120):
+    """Every Farey-neighbour pair a/b < c/d in [0, 1] with b + d <= depth."""
     (a, b), (c, d) = lo, hi
-    if b + d > 120:
+    if b + d > depth:
         return
     yield lo, hi
-    yield from farey_neighbours(lo, (a + c, b + d))
-    yield from farey_neighbours((a + c, b + d), hi)
+    yield from farey_neighbours(lo, (a + c, b + d), depth)
+    yield from farey_neighbours((a + c, b + d), hi, depth)
 
 
 def test_c734_words_factor_at_farey_neighbours():
@@ -315,35 +315,82 @@ def _fibonacci_power(n):
     return result
 
 
+def _word_matrices(p, q):
+    """M of c734_word(p, q) and F^S, S = 13q + 2p, exactly."""
+    return cf._quotient_matrix(c734_word(p, q)), _fibonacci_power(13 * q + 2 * p)
+
+
 def _exact_node(p, q):
-    """The descent's node for c734_word(p, q), with its matrices exact."""
-    # unchecked: c734_word's words are valid
-    m = cf._quotient_matrix(c734_word(p, q))
-    f = _fibonacci_power(13 * q + 2 * p)
-    return p, q, (m, m, 0), (f, f, 0)
+    """The descent's node for c734_word(p, q): its exact T and L_S."""
+    m, f = _word_matrices(p, q)
+    t, l = m[0] + m[3], f[0] + f[3]
+    return p, q, (t, t, 0), (l, l, 0)
+
+
+def _encloses(x, value):
+    lo, hi, e = x
+    return lo << e <= value <= hi << e
+
+
+def _run_state(run, k):
+    """The state of a _Run at k, by the ladder: double to the top bit of k,
+    then advance by each lower set bit, as the descent's bisection does."""
+    top = k.bit_length() - 1
+    m0, m1, _, f0, f1, _ = run.ladder[0]
+    state = m0, m1, f0, f1
+    for _ in range(top):
+        state = run.double()
+    for i in reversed(range(top)):
+        if k >> i & 1:
+            state = run.advance(state, i)
+    return state
+
+
+def _run_node(near, far, k, bits):
+    """Node k*near + far of the run from exact nodes near and far, and the
+    run's state at k."""
+    classify_module = importlib.import_module("dtu.classify")
+    ends = sorted([near, far], key=lambda n: Fraction(n[0], n[1]))
+    mediant = _exact_node(ends[0][0] + ends[1][0], ends[0][1] + ends[1][1])
+    run = classify_module._Run(near, far, mediant, bits)
+    state = _run_state(run, k)
+    return run.node(k, state), state
 
 
 def test_run_node_matrix_is_the_quotient_matrix_of_its_word():
-    # the whole matrix, not only its trace: the trace is invariant under
-    # rotation, so only the full matrix tells M(near)^k M(far) from
-    # M(far) M(near)^k.  At 8-bit mantissas the enclosures must contain the
-    # node word's matrix and F^S, S = 13q + 2p; with room for every entry
-    # they must equal them.
+    # the node k*near + far has the matrix U_k C - Q U_{k-1} B, with C the
+    # mediant's matrix and B far's (for M, and for F^S with Q = det F^S(near)):
+    # from the run's Lucas pair that whole matrix, not only its trace, must
+    # be the node word's, and the run's T and L_S enclosures must contain
+    # the word's, equal at 2^16 bits.  The trace is invariant under rotation,
+    # so only the full matrix tells M(near)^k M(far) from M(far) M(near)^k.
+    # The mediant of the nodes k and k + 1 is checked the same way.
+    classify_module = importlib.import_module("dtu.classify")
     exact_bits = 1 << 16
-    for (a, b), (c, d) in farey_neighbours():
+    for (a, b), (c, d) in farey_neighbours(depth=40):
         lo, hi = _exact_node(a, b), _exact_node(c, d)
-        for k in (1, 2, 3, 5):
-            for near_left in (True, False):
-                near, far = (lo, hi) if near_left else (hi, lo)
-                p, q, *enclosures = _run_node(near, far, k, near_left, 8)
-                assert (p, q) == (k * near[0] + far[0], k * near[1] + far[1])
+        mediant = _word_matrices(a + c, b + d)
+        for k in (1, 2, 3, 5, 6, 13):
+            for near, far in ((lo, hi), (hi, lo)):
+                node, _ = _run_node(near, far, k, 8)
+                p, q = k * near[0] + far[0], k * near[1] + far[1]
+                assert node[:2] == (p, q)
                 exact = _exact_node(p, q)
-                for (xlo, xhi, e), (x, _, _) in zip(enclosures, exact[2:]):
-                    assert all(u << e <= v <= w << e
-                               for u, v, w in zip(xlo, x, xhi)), (a, b, c, d, k)
-                    assert max(xhi) <= 1 << 8
-                assert _run_node(near, far, k, near_left, exact_bits) == exact, \
-                    (a, b, c, d, k, near_left)
+                for x, (v, _, _) in zip(node[2:], exact[2:]):
+                    assert _encloses(x, v) and x[1] <= 1 << 8, (a, b, c, d, k)
+                node, state = _run_node(near, far, k, exact_bits)
+                assert node == exact, (a, b, c, d, k)
+                pairs = state[:2], state[2:]
+                signs = (1, -1 if near[1] % 2 else 1)  # det M, det F^S(near)
+                for (u0, u1), s, cm, bm, word in zip(pairs, signs, mediant,
+                                                     _word_matrices(*far[:2]),
+                                                     _word_matrices(p, q)):
+                    assert tuple(u1[0] * x - s * u0[0] * y
+                                 for x, y in zip(cm, bm)) == word, (a, b, c, d, k)
+                if k <= 5:
+                    after, _ = _run_node(near, far, k + 1, exact_bits)
+                    assert classify_module._mediant(node, after, near, exact_bits) == \
+                        _exact_node(node[0] + after[0], node[1] + after[1])
 
 
 def test_anchors_are_exact_nodes():
@@ -351,15 +398,15 @@ def test_anchors_are_exact_nodes():
     assert _fibonacci_power(13) == (377, 233, 233, 144)
     assert _fibonacci_power(15) == (987, 610, 610, 377)
     classify_module = importlib.import_module("dtu.classify")
-    for p in (0, 1):
-        assert classify_module._anchor(p) == (c734_word(p, 1), _exact_node(p, 1))
+    words, nodes = classify_module._anchors()
+    assert words == (c734_word(0, 1), c734_word(1, 1))
+    assert nodes == (_exact_node(0, 1), _exact_node(1, 2), _exact_node(1, 1))
 
 
 def _descend(eps, bits):
     """The descent from the anchor nodes 0/1 and 1/1 at `bits`-bit mantissas."""
     classify_module = importlib.import_module("dtu.classify")
-    anchors = [classify_module._anchor(p)[1] for p in (0, 1)]
-    return classify_module._descend(eps, *anchors, bits)
+    return classify_module._descend(eps, *classify_module._anchors()[1], bits)
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 500), Fraction(1, 10 ** 6),
@@ -370,11 +417,12 @@ def test_interval_steps_match_the_exact_node_verdicts(eps, monkeypatch):
     # step takes the integer route
     exact = _descend(eps, 1 << 40)
     integer_route = []
-    verdict_sign = classify_module._verdict_sign
-    monkeypatch.setattr(classify_module, "_verdict_sign",
-                        lambda t, s: integer_route.append(s) or verdict_sign(t, s))
+    sign_terms = classify_module._sign_terms
+    monkeypatch.setattr(classify_module, "_sign_terms",
+                        lambda t, l, s: integer_route.append(s) or sign_terms(t, l, s))
     br = kappa2_bracket(eps)
     assert (br.lo, br.hi, br.trace) == (exact.lo, exact.hi, exact.trace)
+    assert len(integer_route) > 2  # the anchors, and the first steps
     if eps < Fraction(1, 10 ** 6):
         # most steps were decided by the enclosures, not the integer route
         assert len(integer_route) < len(br.trace) / 2
@@ -391,17 +439,16 @@ def test_interval_sign_is_the_exact_sign_or_undecided(bits):
             continue
         ends = [_exact_node(a, b), _exact_node(c, d)]
         for k in (1, 2, 7):
-            for near_left in (True, False):
-                near, far = ends if near_left else ends[::-1]
-                node = _run_node(near, far, k, near_left, bits)
-                p, q, (_, _, e), _ = node
+            for near, far in (ends, ends[::-1]):
+                node, _ = _run_node(near, far, k, bits)
+                p, q, t, _ = node
                 m = cf._quotient_matrix(c734_word(p, q))
                 exact = classify_module._verdict_sign(m[0] + m[3], 13 * q + 2 * p)[0]
                 try:
-                    sign = classify_module._node_sign(node)
+                    sign = classify_module._node_sign(*node)
                 except classify_module._Undecided:
                     continue
-                decided += e > 0
+                decided += t[2] > 0
                 assert sign == exact, (p, q)
     assert decided > 50
 
@@ -413,15 +460,13 @@ def test_interval_sign_is_the_exact_sign_or_undecided(bits):
     (3, 4, 50, None),  # T^2 in [36, 64] straddles L_S
 ])
 def test_node_sign_rule_on_given_enclosures(t_lo, t_hi, lucas, sign):
-    # T in [2 t_lo, 2 t_hi] and L_S = tr(F^S) = lucas exactly, to test the
-    # decision rule of _node_sign apart from the enclosures it is given
+    # T in [2 t_lo, 2 t_hi] and L_S in [l_lo, l_hi], to test the decision
+    # rule of _node_sign apart from the enclosures it is given
     classify_module = importlib.import_module("dtu.classify")
 
     def node_sign(l_lo, l_hi):
-        node = (1, 38, ((t_lo, 0, 0, 0), (t_hi, 0, 0, 0), 1),
-                ((l_lo - 10, 0, 0, 10), (l_hi - 10, 0, 0, 10), 0))
         try:
-            return classify_module._node_sign(node)
+            return classify_module._node_sign(1, 38, (t_lo, t_hi, 1), (l_lo, l_hi, 0))
         except classify_module._Undecided:
             return None
 
@@ -433,22 +478,171 @@ def test_node_sign_rule_on_given_enclosures(t_lo, t_hi, lucas, sign):
 
 @pytest.mark.parametrize("bits", [8, 12, 64, 200])
 def test_phi_power_enclosure_contains_phi_power(bits):
-    # phi^S reaches _node_sign through an enclosure of F^S: its entries
-    # F(S+1), F(S), F(S-1) give phi^S = F(S) phi + F(S-1) and its trace L_S
+    # phi^S reaches _node_sign through the Lucas number L_S = phi^S +
+    # (-phi)^-S, which a run computes as a trace U_k tr(C) - Q U_{k-1} tr(B).
+    # The run from near = F (trace 1, Q = -1; q = 1 odd) with far = F^0 = I
+    # (trace 2) and mediant F has L_k at node k.  Its M side runs on the
+    # identity, where U_k = k and the trace 2 U_k - 2 U_{k-1} cancels, so
+    # only its enclosure is checked.
     classify_module = importlib.import_module("dtu.classify")
-    fib = ((1, 1, 1, 0), (1, 1, 1, 0), 0)
+    one, two = (1, 1, 0), (2, 2, 0)
+    near, far = (0, 1, two, one), (0, 0, two, two)
     for s in list(range(1, 300)) + [1000, 4097, 65535]:
-        lo, hi, e = classify_module._enclosure_power(fib, s, bits)
-        assert max(hi) <= 1 << bits
-        exact = _fibonacci_power(s)
-        assert all(u << e <= v <= w << e for u, v, w in zip(lo, exact, hi)), s
+        run = classify_module._Run(near, far, near, bits)
+        (_, _, t, l) = run.node(s, _run_state(run, s))
+        assert _encloses(t, 2)
+        lo, hi, e = l
+        assert hi <= 1 << bits
+        lucas = sum(_fibonacci_power(s)[::3])
+        assert lo << e <= lucas <= hi << e, s
         scale = Fraction(2) ** e
-        phi_s = GoldenScalar.phi_power(s)
-        assert compare_values(GoldenScalar(lo[3] * scale, lo[1] * scale), phi_s) <= 0, s
-        assert compare_values(GoldenScalar(hi[3] * scale, hi[1] * scale), phi_s) >= 0, s
-    if bits >= 64:  # F^1000, so phi^1000 and L_1000, to better than 20 bits
-        lo, hi, _ = classify_module._enclosure_power(fib, 1000, bits)
-        assert all((w - u) << 20 < u for u, w in zip(lo, hi))
+        phi_sum = GoldenScalar.phi_power(s) + GoldenScalar.phi_power(-s) * (-1) ** s
+        assert phi_sum == GoldenScalar(lucas)
+        assert compare_values(GoldenScalar(lo * scale), phi_sum) <= 0, s
+        assert compare_values(GoldenScalar(hi * scale), phi_sum) >= 0, s
+        if s == 1000 and bits >= 64:  # L_1000 to better than 20 bits
+            assert (hi - lo) << 20 < lo
+
+
+def _round_matrices(lo, hi, e, bits):
+    shift = max(hi).bit_length() - bits
+    if shift <= 0:
+        return lo, hi, e
+    return (tuple(x >> shift for x in lo), tuple(-(-x >> shift) for x in hi),
+            e + shift)
+
+
+def _matrix_enclosure_product(x, y, bits):
+    (xlo, xhi, xe), (ylo, yhi, ye) = x, y
+    return _round_matrices(cf._matrix_product(xlo, ylo),
+                           cf._matrix_product(xhi, yhi), xe + ye, bits)
+
+
+def _matrix_enclosure_power(x, k, bits):
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else _matrix_enclosure_product(result, x, bits)
+        k >>= 1
+        if not k:
+            return result
+        x = _matrix_enclosure_product(x, x, bits)
+
+
+def _matrix_power_descent(eps, bits):
+    """(p, q, T, L_S, sign) at every step of the descent at eps, by the
+    matrix-power route: a node carries enclosures of M and F^S, lower and
+    upper matrices with one exponent, and node k*near + far has the
+    matrices M(near)^k M(far) or M(far) M(near)^k, and F^S(near)^k F^S(far),
+    by repeated squaring.  The verdicts come from _node_sign."""
+    classify_module = importlib.import_module("dtu.classify")
+    steps = []
+
+    def node(p, q):
+        m, f = _word_matrices(p, q)
+        return p, q, (m, m, 0), (f, f, 0)
+
+    def run_node(near, far, k, near_left):
+        (p, q, m, f), (p2, q2, m2, f2) = near, far
+        mk = _matrix_enclosure_power(m, k, bits)
+        m = _matrix_enclosure_product(*((mk, m2) if near_left else (m2, mk)), bits)
+        f = _matrix_enclosure_product(_matrix_enclosure_power(f, k, bits), f2, bits)
+        return k * p + p2, k * q + q2, m, f
+
+    def verdict(n):
+        traces = [(lo[0] + lo[3], hi[0] + hi[3], e) for lo, hi, e in n[2:]]
+        sign = classify_module._node_sign(n[0], n[1], *traces)
+        steps.append((n[0], n[1], *traces, sign))
+        return sign
+
+    lo, hi = node(0, 1), node(1, 1)
+    while lo[1] * hi[1] * eps < 1:
+        inside = run_node(lo, hi, 1, True)
+        target = verdict(inside)
+        near_left = target < 0
+        near, far = (lo, hi) if near_left else (hi, lo)
+        k = 1
+        while True:
+            out_k = 2 * k
+            outside = run_node(near, far, out_k, near_left)
+            if verdict(outside) != target:
+                break
+            k, inside = out_k, outside
+            if near[1] * inside[1] * eps >= 1:
+                outside = near
+                break
+        while out_k - k > 1:
+            mid = (k + out_k) // 2
+            n = run_node(near, far, mid, near_left)
+            if verdict(n) == target:
+                k, inside = mid, n
+            else:
+                out_k, outside = mid, n
+        lo, hi = (outside, inside) if near_left else (inside, outside)
+    return steps
+
+
+@pytest.mark.parametrize("eps, oracle_bits", [
+    (Fraction(1, 500), 1 << 16), (Fraction(1, 10 ** 6), 1 << 16),
+    (Fraction(1, 10 ** 15), 400), (Fraction(1, 10 ** 40), 800)])
+def test_lucas_enclosures_contain_the_matrix_power_values(eps, oracle_bits,
+                                                          monkeypatch):
+    # every step's T and L_S enclosures contain the values of the
+    # matrix-power route, which are exact at 2^16 bits (1/500, 1e-6) and
+    # enclosed at more than twice the descent's bits (1e-15, 1e-40), and
+    # both routes take the same steps with the same verdicts
+    classify_module = importlib.import_module("dtu.classify")
+    oracle = _matrix_power_descent(eps, oracle_bits)
+    if oracle_bits == 1 << 16:
+        assert all(t[2] == l[2] == 0 for _, _, t, l, _ in oracle)
+    steps = []
+    node_sign = classify_module._node_sign
+
+    def recorded(p, q, t, l):
+        steps.append((p, q, t, l, node_sign(p, q, t, l)))
+        return steps[-1][-1]
+
+    monkeypatch.setattr(classify_module, "_node_sign", recorded)
+    br = kappa2_bracket(eps)
+    assert len(steps) == len(oracle) == len(br.trace)
+    assert [(p, q, sign) for p, q, _, _, sign in steps] == \
+        [(p, q, sign) for p, q, _, _, sign in oracle]
+    for step, exact in zip(steps, oracle):
+        for (lo, hi, e), (x_lo, x_hi, x_e) in zip(step[2:4], exact[2:4]):
+            low = min(e, x_e)
+            assert lo << (e - low) <= x_lo << (x_e - low), step[:2]
+            assert x_hi << (x_e - low) <= hi << (e - low), step[:2]
+
+
+def test_combine_encloses_the_exact_range():
+    # a b - sign c d over every a, b, c, d in the given enclosures lies in
+    # the result, once raised to 0; a negative upper end is refused, and
+    # without rounding the result is the exact range
+    classify_module = importlib.import_module("dtu.classify")
+    rng = random.Random(11)
+    for _ in range(3000):
+        bits = rng.choice([4, 8, 30, 200])
+        ends = []
+        for _ in range(4):
+            lo = rng.randint(0, 1 << rng.randint(0, 24))
+            ends.append((lo, lo + rng.choice([0, 0, 1, rng.randint(0, lo + 1)]),
+                         rng.randint(0, 5)))
+        sign = rng.choice([1, -1])
+        a, b, c, d = ((lo << e, hi << e) for lo, hi, e in ends)
+        if sign > 0:
+            least, most = a[0] * b[0] - c[1] * d[1], a[1] * b[1] - c[0] * d[0]
+        else:
+            least, most = a[0] * b[0] + c[0] * d[0], a[1] * b[1] + c[1] * d[1]
+        if most < 0:
+            with pytest.raises(AssertionError):
+                classify_module._combine(*ends, sign, bits)
+            continue
+        lo, hi, e = classify_module._combine(*ends, sign, bits)
+        assert hi <= 1 << bits
+        assert lo << e <= max(least, 0) and most <= hi << e
+        if not any(x[2] for x in ends) and \
+                2 * max(x[1].bit_length() for x in ends) + 2 <= bits:
+            assert (lo, hi, e) == (max(least, 0), most, 0)
 
 
 def test_kappa2_brackets_nest_down_to_1e40():
@@ -483,8 +677,8 @@ def test_kappa2_undecided_steps_rerun_at_doubled_precision(monkeypatch):
     assert runs == [8, 16, 32, 64][:len(runs)] and len(runs) > 1
     assert (br.lo, br.hi, br.trace) == (expected.lo, expected.hi, expected.trace)
 
-    def undecided(node):
-        raise classify_module._Undecided(Fraction(node[0], node[1]))
+    def undecided(p, q, t, l):
+        raise classify_module._Undecided(Fraction(p, q))
 
     runs.clear()
     monkeypatch.setattr(classify_module, "_node_sign", undecided)

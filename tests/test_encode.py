@@ -1,5 +1,6 @@
 """Wire-format round trips and decimal rendering."""
 
+import random
 import sys
 from contextlib import contextmanager
 from decimal import Decimal
@@ -66,6 +67,24 @@ def test_seq_round_trip():
             parse_seq(text)
     assert parse_seq("") == () and parse_seq(seq_str(())) == ()
     assert parse_seq(" 7, 4 ") == (7, 4)
+
+
+def test_seq_str_is_the_plain_join():
+    # one-digit quotients take a byte translation; every other sequence
+    # must read the same as the join of the quotients' decimal strings
+    def join(seq):
+        return ",".join(str(a) for a in seq)
+
+    word = c734_word(8000, 24457)  # 48,914 quotients, all one digit
+    assert seq_str(word) == join(word) and len(seq_str(word)) == 2 * len(word) - 1
+    for seq in [(), (7,), (0,), (9,), (10,), (7, 10, 3), (12, 1), (1, 255),
+                (1, 256), (48, 57), (3, 10 ** 30), (-1, 2), word + (10,)]:
+        assert seq_str(seq) == join(seq), seq
+    rng = random.Random(16)
+    for _ in range(500):
+        top = rng.choice([1, 9, 10, 58, 300, 10 ** 6])
+        seq = tuple(rng.randint(0, top) for _ in range(rng.randint(0, 40)))
+        assert seq_str(seq) == join(seq), seq
 
 
 @pytest.mark.parametrize("parse, text", [
