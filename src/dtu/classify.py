@@ -105,6 +105,12 @@ def kappa(period, o: Orientation) -> Fraction:
     return Fraction(2 * cf.weighted_sum(period, o), len(period))
 
 
+# The largest quotient sum of a period that `dtu classify` takes on, counted
+# twice for an odd period, which the verdict doubles: a period of 262,144
+# ones takes 1.3 s, and c734_word(8000, 24457), of 48,914 quotients, sums
+# to 252,570.
+CLASSIFY_QUOTIENT_SUM_MAX = 2 ** 18
+
 _BY_SIGN = {1: Classification.DERIV_INFINITY, -1: Classification.DERIV_ZERO,
             0: Classification.BOUNDARY}
 
@@ -192,11 +198,25 @@ WITNESS_QUOTIENTS_MAX = 10 ** 5
 
 @dataclass(frozen=True)
 class BracketStep:
+    """Step `step` of a descent decided the word c734_word(p, q), a
+    Stern-Brocot node, so p/q is in lowest terms."""
+
     step: int
-    density: Fraction
-    period_length: int
-    kappa: Fraction
+    p: int
+    q: int
     classification: Classification
+
+    @property
+    def density(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+    @property
+    def kappa(self) -> Fraction:
+        return Fraction(13 * self.q + 2 * self.p, self.q)
+
+    @property
+    def period_length(self) -> int:
+        return 2 * self.q
 
 
 @dataclass(frozen=True)
@@ -551,8 +571,7 @@ def _descend(eps: Fraction, lo, mediant, hi, bits: int) -> KappaBracket:
             mediant = _mediant(inside, outside, near, bits)
         lo, hi = (outside, inside) if near is lo else (inside, outside)
 
-    trace = tuple(BracketStep(i, Fraction(p, q), 2 * q, Fraction(13 * q + 2 * p, q),
-                              _BY_SIGN[sign])
+    trace = tuple(BracketStep(i, p, q, _BY_SIGN[sign])
                   for i, (p, q, sign) in enumerate(rows, 1))
     return KappaBracket(lo=Fraction(13 * lo[1] + 2 * lo[0], lo[1]),
                         hi=Fraction(13 * hi[1] + 2 * hi[0], hi[1]), trace=trace)

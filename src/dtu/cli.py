@@ -76,10 +76,16 @@ def _cmd_eval(args) -> int:
     from . import cf
     from .encode import (decimal_str, exact_str, fraction_str, parse_fraction,
                          parse_seq)
-    from .geval import g_mediant
+    from .geval import check_mediant_cost, g_mediant
 
     lam = _parse_lambda(args.lam)
-    x = cf.value_of(parse_seq(args.x)) if args.x_is_cf else parse_fraction(args.x)
+    if args.x_is_cf:
+        seq = parse_seq(args.x)
+        check_mediant_cost(lam, seq)
+        x = cf.value_of(seq)
+    else:
+        x = parse_fraction(args.x)
+        check_mediant_cost(lam, x)
     value = g_mediant(lam, x)
     if args.format == "json":
         payload = {"lambda": args.lam, "x": fraction_str(x),
@@ -106,12 +112,17 @@ def _cmd_sample(args) -> int:
 
 def _cmd_classify(args) -> int:
     from .cf import Orientation, PeriodicCF
-    from .classify import classify_verdict
+    from .classify import CLASSIFY_QUOTIENT_SUM_MAX, classify_verdict
     from .encode import (decimal_str, exact_str, fraction_str, parse_seq,
                          seq_str, surd_str)
 
     period = parse_seq(args.period)
     preperiod = parse_seq(args.preperiod)
+    odd = len(period) % 2
+    if sum(period) * (1 + odd) > CLASSIFY_QUOTIENT_SUM_MAX:
+        raise CapExceededError(
+            f"the quotient sum of the {'doubled ' if odd else ''}period"
+            f" exceeds the cap {CLASSIFY_QUOTIENT_SUM_MAX}")
     o = Orientation(args.orientation)
     verdict = classify_verdict(PeriodicCF(preperiod, period), o)
     cert = verdict.certificate

@@ -18,5 +18,6 @@ class CapExceededError(RuntimeError):
     """A requested size exceeds its cap: the target sum S, the word count
     |M(n, S)| of an exhaustive search, the Farey order of a
     `geval.sample_farey` table, the depth 1/eps of a kappa2 bracket, the
-    precision that a kappa2 descent step would need, or the length of a
-    kappa2 witness word."""
+    precision that a kappa2 descent step would need, the length of a
+    kappa2 witness word, the quotient sum of a `dtu classify` period, or the
+    number or sum of the partial quotients of a `dtu eval` point."""

@@ -22,6 +22,13 @@ from .errors import CapExceededError, InputError
 from .golden import GOLDEN_ONE, GOLDEN_ZERO, GoldenScalar, bits_for_width
 
 DEFAULT_FAREY_DEPTH_CAP = 512
+# The most work that `dtu eval` takes on, checked by check_mediant_cost
+# before g_mediant runs: the number of partial quotients of x, and their sum,
+# times the bits of q for a rational weight p/q, as lambda^k then has about
+# k log2(q) bits.  1,024 quotients of 128 take 0.5 s at tau, and g at
+# x = 1/100000 prints 42 kB.
+EVAL_QUOTIENTS_MAX = 2 ** 10
+EVAL_QUOTIENT_SUM_MAX = 2 ** 17
 
 ExactScalar = Union[Fraction, GoldenScalar]
 
@@ -79,6 +86,37 @@ def g_mediant(lam: Lambda, x: Fraction) -> ExactScalar:
         else:
             g_lo = g_hi - com_v ** k * (g_hi - g_lo)
     return com_v * g_lo + lam_v * g_hi
+
+
+def _quotients(x: Fraction):
+    """The partial quotients a1, a2, ... of x = [0; a1, a2, ...] in (0, 1),
+    one at a time, so that a cap can stop Euclid's loop early."""
+    num, den = x.numerator, x.denominator
+    while num:
+        a, num, den = den // num, den % num, num
+        yield a
+
+
+def check_mediant_cost(lam: Lambda, x) -> None:
+    """Raise CapExceededError when the partial quotients of x, a Fraction or
+    the quotients themselves, pass EVAL_QUOTIENTS_MAX in number or
+    EVAL_QUOTIENT_SUM_MAX in sum, each counted once per bit of q for a
+    rational weight p/q.  An x outside (0, 1) is left to g_mediant."""
+    if isinstance(x, Fraction):
+        if not 0 < x < 1:
+            return
+        x = _quotients(x)
+    weight = lam.denominator.bit_length() if isinstance(lam, Fraction) else 1
+    total = 0
+    for n, a in enumerate(x, 1):
+        if n > EVAL_QUOTIENTS_MAX:
+            raise CapExceededError(
+                f"x has more than {EVAL_QUOTIENTS_MAX} partial quotients")
+        total += a * weight
+        if total > EVAL_QUOTIENT_SUM_MAX:
+            each = f", each counted {weight} times for lambda," if weight > 1 else ""
+            raise CapExceededError(f"the partial quotients of x{each} sum past"
+                                   f" the cap {EVAL_QUOTIENT_SUM_MAX}")
 
 
 def g_finite_series(lam: Lambda, seq) -> ExactScalar:

@@ -258,11 +258,29 @@ def kappa2_payload(bracket: KappaBracket) -> dict:
     return payload
 
 
+def _fraction_text(num: int, den: int) -> str:
+    """fraction_str of num/den, for coprime num and den > 0."""
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
 def trace_json(bracket: KappaBracket) -> str:
-    rows = [{"step": s.step,
-             "density": fraction_str(s.density),
-             "period_length": s.period_length,
-             "kappa": fraction_str(s.kappa),
-             "classification": s.classification.value}
-            for s in bracket.trace]
-    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    """The steps as the JSON list of objects {classification, density, kappa,
+    period_length, step}, in the bytes of json.dumps(rows, sort_keys=True,
+    indent=2) + "\\n".
+
+    The rows are written from each step's p/q, in lowest terms: kappa =
+    (13q + 2p)/q shares only gcd(2p, q) = gcd(2, q) between its terms, and
+    the period has 2q quotients.  No value needs escaping.
+    """
+    rows = []
+    for s in bracket.trace:
+        p, q = s.p, s.q
+        g = 2 - (q & 1)  # gcd(2, q)
+        rows.append(f'  {{\n    "classification": "{s.classification.value}",\n'
+                    f'    "density": "{_fraction_text(p, q)}",\n'
+                    f'    "kappa": "{_fraction_text((13 * q + 2 * p) // g, q // g)}",\n'
+                    f'    "period_length": {2 * q},\n'
+                    f'    "step": {s.step}\n  }}')
+    if not rows:
+        return "[]\n"
+    return "[\n" + ",\n".join(rows) + "\n]\n"

@@ -1,5 +1,6 @@
 """Derivative classification, growth rates, envelopes, threshold bracketing."""
 
+import dataclasses
 import importlib
 import math
 import random
@@ -117,7 +118,7 @@ def test_integer_verdict_matches_interval_oracle():
     steps = kappa2_bracket(Fraction(1, 500)).trace
     assert len(steps) == 12
     for step in steps:
-        word = c734_word(step.density.numerator, step.density.denominator)
+        word = c734_word(step.p, step.q)
         v = classify_verdict(P(*word))
         assert v.classification is step.classification
         assert v.certificate.sign == _interval_sign(word, Orientation.PHI)
@@ -249,6 +250,31 @@ def test_kappa2_bracket_properties():
         assert isinstance(step, BracketStep)
         assert step.kappa == 13 + 2 * step.density
         assert step.period_length == 2 * step.density.denominator
+
+
+def test_bracket_step_is_its_node():
+    # a step holds the Stern-Brocot node p/q that it decided; density, kappa
+    # and period length are derived from it
+    for step in kappa2_bracket(Fraction(1, 10 ** 12)).trace:
+        density = step.density
+        assert (density.numerator, density.denominator) == (step.p, step.q)
+        assert step.kappa == 13 + 2 * density
+        assert step.period_length == 2 * step.q
+        if step.q < 1000:
+            assert len(c734_word(step.p, step.q)) == step.period_length
+    step = BracketStep(3, 2, 5, Classification.DERIV_ZERO)
+    assert (step.density, step.kappa, step.period_length) == \
+        (Fraction(2, 5), Fraction(69, 5), 10)
+    twin = BracketStep(3, 2, 5, Classification.DERIV_ZERO)
+    assert step == twin and hash(step) == hash(twin)
+    others = [BracketStep(4, 2, 5, Classification.DERIV_ZERO),
+              BracketStep(3, 3, 5, Classification.DERIV_ZERO),
+              BracketStep(3, 2, 7, Classification.DERIV_ZERO),
+              BracketStep(3, 2, 5, Classification.DERIV_INFINITY)]
+    assert all(step != other for other in others)
+    assert len({step, twin, *others}) == 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.q = 7
 
 
 def test_kappa2_bracket_corrected_enclosure():
@@ -703,8 +729,7 @@ def test_kappa2_steps_match_the_word_verdicts(eps):
     # the word-based route is the oracle for the descent's matrix verdicts
     br = kappa2_bracket(eps)
     for step in br.trace:
-        p, q = step.density.numerator, step.density.denominator
-        v = classify_verdict(PeriodicCF((), c734_word(p, q)))
+        v = classify_verdict(PeriodicCF((), c734_word(step.p, step.q)))
         assert (step.classification, step.kappa) == (v.classification, v.kappa)
 
 

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,13 +13,15 @@ import pytest
 
 import dtu
 from dtu import cf
-from dtu.classify import WITNESS_QUOTIENTS_MAX, kappa2_bracket
+from dtu.classify import (CLASSIFY_QUOTIENT_SUM_MAX, WITNESS_QUOTIENTS_MAX,
+                          kappa2_bracket)
 from dtu.cli import main
 from dtu.encode import (decimal_str, parse_fraction, parse_golden, parse_seq,
                         parse_surd)
 from dtu.errors import InputError
 from dtu.extremal import ExtremalInstance
-from dtu.geval import LambdaKind, g_mediant, question_mark, sample_farey
+from dtu.geval import (EVAL_QUOTIENT_SUM_MAX, EVAL_QUOTIENTS_MAX, LambdaKind,
+                       g_mediant, question_mark, sample_farey)
 from dtu.verify import report_markdown, verify_suite
 
 
@@ -248,6 +252,60 @@ def test_exit_codes(capsys):
     assert err == "error: target sum exceeds cap 1000000\n"
     with pytest.raises(SystemExit):
         main(["eval", "--help"])
+
+
+_CLASSIFY_CAP, _EVAL_CAP = CLASSIFY_QUOTIENT_SUM_MAX, EVAL_QUOTIENT_SUM_MAX
+
+
+@pytest.mark.parametrize("at_cap, over_cap, message", [
+    # the period's quotient sum; an odd period counts twice, as it is doubled
+    (["classify", "--period", f"{_CLASSIFY_CAP - 2},2"],
+     ["classify", "--period", f"{_CLASSIFY_CAP - 1},2"],
+     f"the quotient sum of the period exceeds the cap {_CLASSIFY_CAP}"),
+    (["classify", "--period", str(_CLASSIFY_CAP // 2)],
+     ["classify", "--period", str(_CLASSIFY_CAP // 2 + 1)],
+     "the quotient sum of the doubled period exceeds"),
+    # the partial quotients of x: their number, and their sum, which a
+    # rational weight p/q scales by the bits of q
+    (["eval", "--lambda", "tau", "--x", ",".join(["1"] * EVAL_QUOTIENTS_MAX),
+      "--x-is-cf"],
+     ["eval", "--lambda", "tau", "--x", ",".join(["1"] * (EVAL_QUOTIENTS_MAX + 1)),
+      "--x-is-cf"],
+     f"x has more than {EVAL_QUOTIENTS_MAX} partial quotients"),
+    (["eval", "--lambda", "phi-inv", "--x", f"1/{_EVAL_CAP}"],
+     ["eval", "--lambda", "phi-inv", "--x", f"1/{_EVAL_CAP + 1}"],
+     f"the partial quotients of x sum past the cap {_EVAL_CAP}"),
+    (["eval", "--lambda", "half", "--x", f"{_EVAL_CAP - 1},1", "--x-is-cf"],
+     ["eval", "--lambda", "half", "--x", f"{_EVAL_CAP},1", "--x-is-cf"],
+     f"the partial quotients of x sum past the cap {_EVAL_CAP}"),
+    (["eval", "--lambda", "3/7", "--x", f"1/{_EVAL_CAP // 3}"],
+     ["eval", "--lambda", "3/7", "--x", f"1/{_EVAL_CAP // 3 + 1}"],
+     "each counted 3 times for lambda, sum past"),
+], ids=["classify-sum", "classify-odd", "eval-count", "eval-sum", "eval-cf-sum",
+        "eval-rational-weight"])
+def test_classify_and_eval_caps(capsys, at_cap, over_cap, message):
+    code, out, _ = run(capsys, *at_cap)
+    assert code == 0 and out
+    start = time.perf_counter()
+    code, out, err = run(capsys, *over_cap)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_eval_cap_stops_euclid_early(capsys):
+    # x = F(n)/F(n+1) has n partial quotients 1: 130,000 bits, under the
+    # sum cap, but Euclid would take seconds to list all 186,000 of them
+    a, b = 0, 1
+    for _ in range(187_000):
+        a, b = b, a + b
+    assert b.bit_length() <= _EVAL_CAP
+    x = f"{Decimal(a)}/{Decimal(b)}"  # str() of ints this long is limited
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--lambda", "tau", "--x", x)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert f"x has more than {EVAL_QUOTIENTS_MAX} partial quotients" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -503,7 +561,7 @@ def test_readme_library_example_gives_its_commented_results():
              "        assert got == want, (line, got)\n")
     proc = _python("-c", check, block)
     assert proc.returncode == 0, proc.stderr
-    assert block.count("#") == 5
+    assert block.count("#") == 7
 
 
 def test_eval_prints_values_past_the_int_str_limit():

@@ -87,6 +87,55 @@ def test_seq_str_is_the_plain_join():
         assert seq_str(seq) == join(seq), seq
 
 
+@contextmanager
+def int_str_digits(limit):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_int_str_is_str():
+    # past _STR_BITS bits int_str splits n in halves through decimal; it must
+    # read as str(n) on either side of that size and far beyond it
+    rng = random.Random(17)
+    sizes = [1, 2, 64, 1000, *range(encode._STR_BITS - 3, encode._STR_BITS + 4),
+             2 * encode._STR_BITS + 1, 100_000, 250_001]
+    with int_str_digits(0):
+        for bits in sizes:
+            top = 1 << (bits - 1)
+            for n in (top, 2 * top - 1, top | rng.getrandbits(bits - 1),
+                      10 ** (bits * 3 // 10)):
+                assert encode.int_str(n) == str(n), bits
+                assert encode.int_str(-n) == str(-n), bits
+        assert encode.int_str(0) == "0"
+        big = Fraction(3 ** 40_000, 7 ** 30_000)  # 63,399 and 84,220 bits
+        assert fraction_str(big) == f"{big.numerator}/{big.denominator}"
+        assert fraction_str(-big) == f"-{big.numerator}/{big.denominator}"
+        assert golden_str(GoldenScalar(big, -big)) == \
+            f"{fraction_str(big)}-{fraction_str(big)}*phi"
+        for q in (5 ** 20_000, -(5 ** 20_000)):
+            s = QuadraticSurd(-(3 ** 30_000), q, 7 ** 15_000, 2 ** 50_001 + 1)
+            assert min(abs(s.p), abs(s.q), s.r, s.d).bit_length() > encode._STR_BITS
+            sign = "+" if s.q > 0 else "-"
+            assert surd_str(s) == f"({s.p}{sign}{abs(s.q)}*sqrt({s.d}))/{s.r}"
+
+
+def test_int_str_keeps_the_int_str_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    with int_str_digits(5000):
+        assert encode.int_str(10 ** 4999) == str(10 ** 4999)
+        for n in (10 ** 5000, 1 << 60_000):  # below and past _STR_BITS
+            with pytest.raises(ValueError):
+                encode.int_str(n)
+
+
 @pytest.mark.parametrize("parse, text", [
     (parse_seq, "1_0,+3"), (parse_seq, "+7,4"), (parse_seq, "\u0663,4"),
     (parse_fraction, "+3"), (parse_fraction, "1_0/3"),

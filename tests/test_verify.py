@@ -1,10 +1,15 @@
-"""The digit helpers behind the verify report's kappa2-digits row."""
+"""The digit helpers behind the verify report's kappa2-digits row, and the
+kappa2 trace writer."""
 
+import json
+import math
 import random
 from fractions import Fraction
 
 from dtu import cf
-from dtu.verify import common_cf_prefix, common_decimal_prefix
+from dtu.classify import BracketStep, Classification, KappaBracket, kappa2_bracket
+from dtu.encode import fraction_str
+from dtu.verify import common_cf_prefix, common_decimal_prefix, trace_json
 
 
 def expansion(x: Fraction, places: int) -> str:
@@ -70,3 +75,45 @@ def test_common_cf_prefix_is_shared_by_every_number_between():
         for t in range(1, 20):
             x = lo + (hi - lo) * Fraction(t, 20)
             assert cf.cf_of(x)[:len(prefix)] == prefix
+
+
+def json_trace(bracket: KappaBracket) -> str:
+    """The trace as json.dumps renders it from Fractions: the bytes that
+    trace_json writes from each step's integers."""
+    rows = [{"step": s.step,
+             "density": fraction_str(s.density),
+             "period_length": s.period_length,
+             "kappa": fraction_str(s.kappa),
+             "classification": s.classification.value}
+            for s in bracket.trace]
+    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+
+
+def test_trace_json_is_the_json_dumps_of_its_rows():
+    rng = random.Random(17)
+    # log-uniform eps in [1e-12, 1/2], half of them 1/N as `--epsilon 1/N`
+    epsilons = [Fraction(1), Fraction(1, 2)]
+    for _ in range(300):
+        den = round(10 ** rng.uniform(math.log10(2), 12))
+        epsilons.append(Fraction(rng.choice([1, rng.randrange(1, den)]), den))
+    lengths = set()
+    for eps in epsilons:
+        eps = max(eps, Fraction(1, 10 ** 12))
+        bracket = kappa2_bracket(eps)
+        assert trace_json(bracket) == json_trace(bracket), eps
+        lengths.add(len(bracket.trace))
+    assert trace_json(kappa2_bracket(Fraction(1))) == "[]\n"
+    assert min(lengths) == 0 and max(lengths) >= 40
+    # q = 1 and q = 2 give integral kappa 13, 15 and 14; an odd q > 1 keeps
+    # the denominator, an even one halves it
+    steps = [BracketStep(1, 0, 1, Classification.DERIV_INFINITY),
+             BracketStep(2, 1, 1, Classification.DERIV_ZERO),
+             BracketStep(3, 1, 2, Classification.BOUNDARY),
+             BracketStep(4, 3, 7, Classification.DERIV_ZERO),
+             BracketStep(5, 3, 8, Classification.DERIV_INFINITY)]
+    bracket = KappaBracket(Fraction(13), Fraction(15), tuple(steps))
+    text = trace_json(bracket)
+    assert text == json_trace(bracket)
+    assert [(r["density"], r["kappa"], r["period_length"]) for r in json.loads(text)] \
+        == [("0", "13", 2), ("1", "15", 2), ("1/2", "14", 4), ("3/7", "97/7", 14),
+            ("3/8", "55/4", 16)]
