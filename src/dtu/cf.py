@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import InputError
@@ -116,13 +117,16 @@ def cf_of(x: Fraction) -> Quotients:
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError(f"x must lie strictly inside (0, 1), got {x}")
+    return tuple(_euclid(x))
+
+
+def _euclid(x: Fraction) -> Iterator[int]:
+    """The partial quotients a1, a2, ... of x = [0; a1, a2, ...] in (0, 1),
+    unchecked, one at a time, so that a cap can stop Euclid's loop early."""
     num, den = x.numerator, x.denominator
-    seq = []
     while num:
-        a, rem = divmod(den, num)
-        seq.append(a)
-        den, num = num, rem
-    return tuple(seq)
+        a, num, den = den // num, den % num, num
+        yield a
 
 
 def canonical(seq: Sequence[int]) -> Quotients:
@@ -159,18 +163,37 @@ def heavy_positions(n: int, o: Orientation) -> tuple[int, ...]:
     return tuple(i for i in range(1, n + 1) if o.weight(i) == 2)
 
 
-def _mechanical_blocks(common, rare, n_common: int, n_rare: int) -> list:
-    """Arrange blocks so the rare kind sits at the mechanical-word positions
-    floor((j+1) rho) - floor(j rho) = 1, rho = rare density."""
-    m = n_common + n_rare
-    out = []
-    for j in range(m):
-        take_rare = ((j + 1) * n_rare) // m - (j * n_rare) // m == 1
-        out.append(rare if take_rare else common)
-    return out
+def _mechanical_word(p: int, q: int, left: tuple, right: tuple) -> tuple:
+    """The q letters (tuples) of the mechanical word of density p/q,
+    0 <= p <= q, concatenated, unchecked: letter j (from 0) is `right` when
+    floor((j+1)p/q) - floor(jp/q) = 1, else `left`.
+
+    For Farey neighbours a/b < c/d the word at (a+c)/(b+d) is the word at
+    a/b followed by the word at c/d (Christoffel), so the Stern-Brocot path
+    to p/q builds it in O(log q) repetitions and concatenations.
+    """
+    if not q:
+        return ()
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    if q == 1:
+        return (right if p else left) * g
+    (a, b), (c, d) = (0, 1), (1, 1)
+    while True:  # a/b < p/q < c/d, Farey neighbours
+        below, above = p * b - q * a, q * c - p * d  # q b (p/q - a/b), ...
+        if p * (b + d) < q * (a + c):
+            # p/q below the mediant: c/d moves k times towards a/b, to the
+            # last (c + ka)/(d + kb) above p/q
+            k = (above - 1) // below
+            c, d, right = c + k * a, d + k * b, left * k + right
+        elif p * (b + d) > q * (a + c):
+            k = (below - 1) // above
+            a, b, left = a + k * c, b + k * d, left + right * k
+        else:
+            return (left + right) * g
 
 
-def _assemble(blocks: list) -> Quotients:
+def _assemble(blocks: Sequence) -> Quotients:
     """Flatten (light, heavy) pairs into the (1,2,...)-weighted position order."""
     word = []
     for light_v, heavy_v in blocks:

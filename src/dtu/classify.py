@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 from . import cf
 from .cf import Orientation, PeriodicCF, Quotients
@@ -196,6 +195,21 @@ _DOUBLINGS = 3
 WITNESS_QUOTIENTS_MAX = 10 ** 5
 
 
+# The kappa2 family: c734_word(p, q) has q letters, p of them _HIGH, and
+# weighted sum S = _BASE q + _STEP p.  The descent needs letters of 2
+# quotients (det M = 1) and S = q (mod 2) (`_determinant`).
+_LOW, _HIGH = (7, 3), (7, 4)
+_BASE = cf._weighted_sum(_LOW, Orientation.PHI)
+_STEP = cf._weighted_sum(_HIGH, Orientation.PHI) - _BASE
+if not (len(_LOW) == len(_HIGH) == 2 and _BASE % 2 == 1 and _STEP % 2 == 0):
+    raise AssertionError("the kappa2 family breaks the rules the descent relies on")
+
+
+def _family_sum(p: int, q: int) -> int:
+    """The weighted sum S of the word c734_word(p, q)."""
+    return _BASE * q + _STEP * p
+
+
 @dataclass(frozen=True)
 class BracketStep:
     """Step `step` of a descent decided the word c734_word(p, q), a
@@ -212,7 +226,7 @@ class BracketStep:
 
     @property
     def kappa(self) -> Fraction:
-        return Fraction(13 * self.q + 2 * self.p, self.q)
+        return Fraction(_family_sum(self.p, self.q), self.q)
 
     @property
     def period_length(self) -> int:
@@ -235,11 +249,11 @@ class KappaBracket:
 
     @property
     def density_lo(self) -> Fraction:
-        return (self.lo - 13) / 2
+        return (self.lo - _BASE) / _STEP
 
     @property
     def density_hi(self) -> Fraction:
-        return (self.hi - 13) / 2
+        return (self.hi - _BASE) / _STEP
 
     @cached_property
     def witness_lo(self) -> PeriodicCF:
@@ -260,38 +274,15 @@ def _witness(density: Fraction) -> PeriodicCF:
 
 def c734_word(p: int, q: int) -> Quotients:
     """The balanced word of q pairs with light value 7 and p heavy values 4
-    among 3s: the (7,4) blocks sit at the mechanical positions of density p/q,
-    pair j (from 0) being (7, 4) when floor((j+1)p/q) - floor(jp/q) = 1.
-
-    Built by the Christoffel factorization: for Farey neighbours a/b < c/d
-    the word at (a+c)/(b+d) is the word at a/b followed by the word at c/d,
-    so the Stern-Brocot path to p/q builds it by O(log q) tuple repetitions
-    and concatenations.  A non-reduced p/q
-    repeats the word of its reduced form.
-    """
+    among 3s, the (7,4) blocks at the mechanical positions of density p/q
+    (`cf._mechanical_word`)."""
     if not 0 <= p <= q or q < 1:
         raise ValueError("density must be a fraction p/q with 0 <= p <= q")
-    g = gcd(p, q)
-    p, q = p // g, q // g
-    (a, b, left), (c, d, right) = (0, 1, (7, 3)), (1, 1, (7, 4))
-    if q == 1:
-        return (right if p else left) * g
-    while True:  # a/b < p/q < c/d, Farey neighbours
-        below, above = p * b - q * a, q * c - p * d  # q b (p/q - a/b), ...
-        if p * (b + d) < q * (a + c):
-            # p/q below the mediant: c/d moves k times towards a/b, to the
-            # last (c + ka)/(d + kb) above p/q
-            k = (above - 1) // below
-            c, d, right = c + k * a, d + k * b, left * k + right
-        elif p * (b + d) > q * (a + c):
-            k = (below - 1) // above
-            a, b, left = a + k * c, b + k * d, left + right * k
-        else:
-            return (left + right) * g
+    return cf._mechanical_word(p, q, _LOW, _HIGH)
 
 
 # A node of the descent is (p, q, t, l) for the word c734_word(p, q) of
-# weighted sum S = 13q + 2p: t and l enclose the trace T of the word's
+# weighted sum S = `_family_sum(p, q)`: t and l enclose the trace T of the word's
 # quotient matrix M and the Lucas number L_S, the trace of the Fibonacci
 # power F^S, F = [[1, 1], [1, 0]].  An enclosure (lo, hi, e) of a number
 # x >= 0 holds mantissas of at most `bits` bits: lo 2^e <= x <= hi 2^e.
@@ -335,7 +326,7 @@ _ZERO, _ONE = (0, 0, 0), (1, 1, 0)
 
 def _determinant(node) -> int:
     """det M = 1, as the word has even length, and det F^S = (-1)^S, where
-    S = 13q + 2p is odd with q."""
+    S is odd with q (the family's parity rules)."""
     return -1 if node[1] % 2 else 1
 
 
@@ -427,8 +418,8 @@ def _sign_terms(trace: int, lucas: int, s: int) -> tuple[int, int]:
 
 
 def _node_sign(p: int, q: int, t, l) -> int:
-    """Sign of lambda^2 - phi^S for the word c734_word(p, q), S = 13q + 2p,
-    from enclosures t of T = tr(M) and l of L_S.
+    """Sign of lambda^2 - phi^S for the word c734_word(p, q), S =
+    `_family_sum(p, q)`, from enclosures t of T = tr(M) and l of L_S.
 
     An exact T (exponent 0) takes the integer route (`_sign_terms`, with
     L_S from the Fibonacci numbers), which also decides Boundary.
@@ -442,7 +433,7 @@ def _node_sign(p: int, q: int, t, l) -> int:
     """
     t_lo, t_hi, e = t
     if not e:
-        s = 13 * q + 2 * p
+        s = _family_sum(p, q)
         fib, fib_next = _fibonacci_pair(s)
         tr_m4, lucas_2s = _sign_terms(t_lo, 2 * fib_next - fib, s)
         return (tr_m4 > lucas_2s) - (tr_m4 < lucas_2s)
@@ -458,7 +449,7 @@ def _exact_node(p: int, q: int, word):
     """The node of the word c734_word(p, q), from the word, exactly:
     L_S = F(S-1) + F(S+1) in Fibonacci numbers."""
     m = cf._quotient_matrix(word)
-    fib, fib_next = _fibonacci_pair(13 * q + 2 * p)
+    fib, fib_next = _fibonacci_pair(_family_sum(p, q))
     t, l = m[0] + m[3], 2 * fib_next - fib
     return p, q, (t, t, 0), (l, l, 0)
 
@@ -573,5 +564,5 @@ def _descend(eps: Fraction, lo, mediant, hi, bits: int) -> KappaBracket:
 
     trace = tuple(BracketStep(i, p, q, _BY_SIGN[sign])
                   for i, (p, q, sign) in enumerate(rows, 1))
-    return KappaBracket(lo=Fraction(13 * lo[1] + 2 * lo[0], lo[1]),
-                        hi=Fraction(13 * hi[1] + 2 * hi[0], hi[1]), trace=trace)
+    return KappaBracket(lo=Fraction(_family_sum(*lo[:2]), lo[1]),
+                        hi=Fraction(_family_sum(*hi[:2]), hi[1]), trace=trace)

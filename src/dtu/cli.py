@@ -148,9 +148,13 @@ def _cmd_classify(args) -> int:
 def _cmd_extremal(args) -> int:
     from . import cf
     from .encode import decimal_str, seq_str
-    from .extremal import (DEFAULT_BRUTE_CAP, ExtremalInstance, brute_extrema,
-                           max_construct, min_construct)
+    from .extremal import (DEFAULT_BRUTE_CAP, EXTREMAL_LENGTH_MAX,
+                           ExtremalInstance, brute_extrema, max_construct,
+                           min_construct)
 
+    if args.mode != "brute" and args.n > EXTREMAL_LENGTH_MAX:
+        raise CapExceededError(f"length {args.n} exceeds the cap"
+                               f" {EXTREMAL_LENGTH_MAX} of --mode {args.mode}")
     o = cf.Orientation(args.orientation)
     inst = ExtremalInstance(args.n, args.s, o)
     payload = {"n": args.n, "s": args.s, "orientation": o.value,

@@ -16,12 +16,17 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import cf
-from .cf import Orientation, Quotients, _assemble, _mechanical_blocks
+from .cf import Orientation, Quotients, _assemble, _mechanical_word
 from .errors import CapExceededError, InfeasibleError, InputError
 from .variation import VariationDirection, is_abs_increasing_12
 
 DEFAULT_BRUTE_CAP = 10_000_000
 DEFAULT_SUM_CAP = 1_000_000
+# The longest word that `dtu extremal --mode min|max` takes on: balanced_max
+# with an odd remainder scores m base lists of m rotations, O(m^3) in all,
+# and at n = 512 takes up to 1.2 s (per-pair sums up to 3,800), at n = 1,024
+# up to 11 s.
+EXTREMAL_LENGTH_MAX = 2 ** 9
 
 
 @dataclass(frozen=True)
@@ -482,13 +487,13 @@ def _base_lists(inst: ExtremalInstance) -> list:
             f"S={inst.s} is not representable with shape {shape} blocks")
 
     if k <= ordinary - k:
-        blocks = _mechanical_blocks(b0, b1, ordinary - k, k)
+        blocks = _mechanical_word(k, ordinary, (b0,), (b1,))
     else:
-        blocks = _mechanical_blocks(b1, b0, k, ordinary - k)
+        blocks = _mechanical_word(ordinary - k, ordinary, (b1,), (b0,))
 
     if special is None:
         return [blocks]
-    return [blocks[:i] + [special] + blocks[i:] for i in range(len(blocks) + 1)]
+    return [blocks[:i] + (special,) + blocks[i:] for i in range(len(blocks) + 1)]
 
 
 def balanced_max(inst: ExtremalInstance) -> Quotients:

@@ -79,6 +79,8 @@ def g_mediant(lam: Lambda, x: Fraction) -> ExactScalar:
     runs = list(cf.cf_of(x))
     runs[0] -= 1
     runs[-1] -= 1
+    if isinstance(lam_v, Fraction):
+        return _rational_mediant(lam_v, runs)
     g_lo, g_hi = zero, one
     for i, k in enumerate(runs):
         if i % 2 == 0:
@@ -88,13 +90,20 @@ def g_mediant(lam: Lambda, x: Fraction) -> ExactScalar:
     return com_v * g_lo + lam_v * g_hi
 
 
-def _quotients(x: Fraction):
-    """The partial quotients a1, a2, ... of x = [0; a1, a2, ...] in (0, 1),
-    one at a time, so that a cap can stop Euclid's loop early."""
-    num, den = x.numerator, x.denominator
-    while num:
-        a, num, den = den // num, den % num, num
-        yield a
+def _rational_mediant(lam: Fraction, runs) -> Fraction:
+    """The jumps of g_mediant at a rational weight a/b, on integers: after e
+    steps g_lo and g_hi are lo/b^e and hi/b^e, and one Fraction is
+    normalised at the end, not one per run."""
+    a, b = lam.numerator, lam.denominator
+    c = b - a  # 1 - lambda = c/b
+    lo, hi = 0, 1
+    for i, k in enumerate(runs):
+        scale = b ** k
+        if i % 2 == 0:
+            lo, hi = lo * scale, lo * scale + a ** k * (hi - lo)
+        else:
+            lo, hi = hi * scale - c ** k * (hi - lo), hi * scale
+    return Fraction(c * lo + a * hi, b ** (sum(runs) + 1))
 
 
 def check_mediant_cost(lam: Lambda, x) -> None:
@@ -105,7 +114,7 @@ def check_mediant_cost(lam: Lambda, x) -> None:
     if isinstance(x, Fraction):
         if not 0 < x < 1:
             return
-        x = _quotients(x)
+        x = cf._euclid(x)
     weight = lam.denominator.bit_length() if isinstance(lam, Fraction) else 1
     total = 0
     for n, a in enumerate(x, 1):

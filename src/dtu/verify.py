@@ -8,11 +8,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import cf
 from .cf import Orientation, PeriodicCF
-from .classify import (Classification, KappaBracket, classify, kappa,
-                       kappa2_bracket)
+from .classify import (_STEP, Classification, KappaBracket, _family_sum,
+                       classify, kappa, kappa2_bracket)
 from .encode import fraction_str, seq_str
 from .errors import CapExceededError
 from .golden import GoldenScalar
@@ -142,14 +143,11 @@ def verify_suite() -> VerifyReport:
     structural = (bracket.hi - bracket.lo <= 2 * _EPS
                   and lo_cls is Classification.DERIV_INFINITY
                   and hi_cls is Classification.DERIV_ZERO)
-    lo_s = cf.weighted_sum(bracket.witness_lo.period, Orientation.PHI)
-    hi_s = cf.weighted_sum(bracket.witness_hi.period, Orientation.PHI)
-    lo_pairs = len(bracket.witness_lo.period) // 2
-    hi_pairs = len(bracket.witness_hi.period) // 2
     record("threshold-bracket",
            f"enclosure width <= {fraction_str(2 * _EPS)},"
            f" witnesses DerivInfinity/DerivZero",
-           f"[{lo_s}/{lo_pairs}, {hi_s}/{hi_pairs}] width"
+           f"[{_sum_per_pairs(bracket.density_lo)},"
+           f" {_sum_per_pairs(bracket.density_hi)}] width"
            f" {fraction_str(bracket.hi - bracket.lo)},"
            f" witnesses {lo_cls.value}/{hi_cls.value}",
            structural)
@@ -168,6 +166,13 @@ def verify_suite() -> VerifyReport:
            count >= _DIGITS_MIN and bracket.lo <= deep.lo < deep.hi <= bracket.hi)
 
     return VerifyReport(tuple(checks), bracket)
+
+
+def _sum_per_pairs(density: Fraction) -> str:
+    """The weighted sum of the kappa2 family's word of density p/q over its
+    q pairs, as the unreduced text S/q."""
+    p, q = density.numerator, density.denominator
+    return f"{_family_sum(p, q)}/{q}"
 
 
 def common_decimal_prefix(lo: Fraction, hi: Fraction) -> str:
@@ -209,15 +214,13 @@ def report_markdown(report: VerifyReport) -> str:
         lines.append(f"| {c.name} | {c.expected} | {c.observed} | {c.status} |")
     lines.append("")
     b = report.bracket
-    lo_s = cf.weighted_sum(b.witness_lo.period, Orientation.PHI)
-    hi_s = cf.weighted_sum(b.witness_hi.period, Orientation.PHI)
     lines += [
         "## Threshold enclosure",
         "",
-        f"- lower endpoint: {lo_s}/{len(b.witness_lo.period) // 2}"
+        f"- lower endpoint: {_sum_per_pairs(b.density_lo)}"
         f" = {fraction_str(b.lo)} (witness period `{seq_str(b.witness_lo.period)}`,"
         f" derivative +infinity)",
-        f"- upper endpoint: {hi_s}/{len(b.witness_hi.period) // 2}"
+        f"- upper endpoint: {_sum_per_pairs(b.density_hi)}"
         f" = {fraction_str(b.hi)} (witness period `{seq_str(b.witness_hi.period)}`,"
         f" derivative 0)",
         f"- bisection steps: {len(b.trace)}",
@@ -269,16 +272,17 @@ def trace_json(bracket: KappaBracket) -> str:
     indent=2) + "\\n".
 
     The rows are written from each step's p/q, in lowest terms: kappa =
-    (13q + 2p)/q shares only gcd(2p, q) = gcd(2, q) between its terms, and
-    the period has 2q quotients.  No value needs escaping.
+    S/q for the family sum S = base q + step p, whose terms share only
+    gcd(step p, q) = gcd(step, q), and the period has 2q quotients.  No
+    value needs escaping.
     """
     rows = []
     for s in bracket.trace:
         p, q = s.p, s.q
-        g = 2 - (q & 1)  # gcd(2, q)
+        g = gcd(_STEP, q)
         rows.append(f'  {{\n    "classification": "{s.classification.value}",\n'
                     f'    "density": "{_fraction_text(p, q)}",\n'
-                    f'    "kappa": "{_fraction_text((13 * q + 2 * p) // g, q // g)}",\n'
+                    f'    "kappa": "{_fraction_text(_family_sum(p, q) // g, q // g)}",\n'
                     f'    "period_length": {2 * q},\n'
                     f'    "step": {s.step}\n  }}')
     if not rows:

@@ -143,6 +143,26 @@ def test_cf_of_round_trip_and_conventions():
             cf.cf_of(bad)
 
 
+def floor_rule_blocks(common, rare, n_common, n_rare):
+    """The O(m) floor-rule loop: the rare block at the mechanical positions
+    floor((j+1) rho) - floor(j rho) = 1, rho = n_rare / m, kept as the oracle
+    of the Christoffel builder."""
+    m = n_common + n_rare
+    return [rare if ((j + 1) * n_rare) // m - (j * n_rare) // m == 1 else common
+            for j in range(m)]
+
+
+def test_mechanical_word_with_block_letters_matches_the_floor_rule():
+    # the letters of balanced_max: 1-tuples of (light, heavy) blocks, with
+    # either kind the rare one; m = 0 is the empty word
+    b0, b1 = (9, 4), (10, 4)
+    for m in range(121):
+        for k in range(m + 1):
+            for common, rare in ((b0, b1), (b1, b0)):
+                want = tuple(floor_rule_blocks(common, rare, m - k, k))
+                assert cf._mechanical_word(k, m, (common,), (rare,)) == want, (k, m)
+
+
 def test_reversal_exhaustive():
     # continuants are invariant under reversal: all words up to length 7,
     # entries up to 5

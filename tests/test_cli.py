@@ -19,7 +19,7 @@ from dtu.cli import main
 from dtu.encode import (decimal_str, parse_fraction, parse_golden, parse_seq,
                         parse_surd)
 from dtu.errors import InputError
-from dtu.extremal import ExtremalInstance
+from dtu.extremal import EXTREMAL_LENGTH_MAX, ExtremalInstance
 from dtu.geval import (EVAL_QUOTIENT_SUM_MAX, EVAL_QUOTIENTS_MAX, LambdaKind,
                        g_mediant, question_mark, sample_farey)
 from dtu.verify import report_markdown, verify_suite
@@ -255,6 +255,7 @@ def test_exit_codes(capsys):
 
 
 _CLASSIFY_CAP, _EVAL_CAP = CLASSIFY_QUOTIENT_SUM_MAX, EVAL_QUOTIENT_SUM_MAX
+_LENGTH_CAP = EXTREMAL_LENGTH_MAX
 
 
 @pytest.mark.parametrize("at_cap, over_cap, message", [
@@ -281,8 +282,19 @@ _CLASSIFY_CAP, _EVAL_CAP = CLASSIFY_QUOTIENT_SUM_MAX, EVAL_QUOTIENT_SUM_MAX
     (["eval", "--lambda", "3/7", "--x", f"1/{_EVAL_CAP // 3}"],
      ["eval", "--lambda", "3/7", "--x", f"1/{_EVAL_CAP // 3 + 1}"],
      "each counted 3 times for lambda, sum past"),
+    # the word length of --mode min|max; past the cap, per-pair sum 10 over
+    # 257 pairs leaves the odd remainder whose balanced branch is cubic in
+    # the pair count
+    (["extremal", "--n", str(_LENGTH_CAP), "--s", "1000000", "--mode", "min"],
+     ["extremal", "--n", str(_LENGTH_CAP + 2), "--s", "1000000", "--mode", "min"],
+     f"length {_LENGTH_CAP + 2} exceeds the cap {_LENGTH_CAP} of --mode min"),
+    (["extremal", "--n", str(_LENGTH_CAP), "--s", str(10 * _LENGTH_CAP),
+      "--mode", "max"],
+     ["extremal", "--n", str(_LENGTH_CAP + 2), "--s", str(5 * (_LENGTH_CAP + 2)),
+      "--mode", "max"],
+     f"length {_LENGTH_CAP + 2} exceeds the cap {_LENGTH_CAP} of --mode max"),
 ], ids=["classify-sum", "classify-odd", "eval-count", "eval-sum", "eval-cf-sum",
-        "eval-rational-weight"])
+        "eval-rational-weight", "extremal-min", "extremal-max"])
 def test_classify_and_eval_caps(capsys, at_cap, over_cap, message):
     code, out, _ = run(capsys, *at_cap)
     assert code == 0 and out

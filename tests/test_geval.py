@@ -2,6 +2,7 @@
 certified intervals, Farey sampling."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -56,6 +57,25 @@ def test_mediant_jumps_match_stepwise_farey_table(lam):
 def test_mediant_at_one_huge_quotient(lam):
     # a single run of 99,998 mediant steps toward 0
     assert g_mediant(lam, Fraction(1, 100000)) == g_finite_series(lam, (100000,))
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2, 7), Fraction(3, 7),
+                                 Fraction(5, 8)])
+def test_rational_weight_mediant_matches_series_on_long_expansions(lam):
+    # g_mediant keeps a rational weight's ends as integers over one power of
+    # its denominator; the closed series is the reference
+    rng = random.Random(31)
+    points = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6 + 1) for _ in range(20)]
+    points.append(cf.value_of([rng.randint(1, 4) for _ in range(1024)]))
+    for x in points:
+        assert g_mediant(lam, x) == g_finite_series(lam, cf.cf_of(x)), (lam, x)
+    # normalising a Fraction at every run took 10.7 s at 3/7 on 1,024
+    # quotients of 42 (the series still does)
+    x = cf.value_of((42,) * 1024)
+    start = time.perf_counter()
+    value = g_mediant(lam, x)
+    assert time.perf_counter() - start < 2
+    assert 0 < value < 1
 
 
 def test_series_equals_mediant_on_farey_order_24_with_random_weights():
