@@ -14,7 +14,7 @@ import re
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import InputError
 from .golden import GoldenScalar
@@ -191,8 +191,8 @@ def _exponent(x: Fraction) -> int:
 def _abs_floor(x) -> Fraction:
     """A lower bound on |x| for irrational x: its norm x x' over |x'|."""
     if isinstance(x, GoldenScalar):  # x' = a + b(1 - phi), |1 - phi| < 1
-        a, b = x.a, x.b
-        return abs(a * a + a * b - b * b) / (abs(a) + abs(b))
+        a, b = x.a, x.b  # int coefficients would divide to a float by /
+        return Fraction(abs(a * a + a * b - b * b), abs(a) + abs(b))
     p, q, r, d = x.p, x.q, x.r, x.d  # x' = (p - q sqrt(d))/r
     return Fraction(abs(p * p - q * q * d), r * (abs(p) + abs(q) * (isqrt(d) + 1)))
 
@@ -211,10 +211,7 @@ def _surd_parts(value) -> tuple[int, int, int, int]:
     """(p, q, r, d) with value = (p + q sqrt(d))/r and r > 0."""
     if isinstance(value, QuadraticSurd):
         return value.p, value.q, value.r, value.d
-    u, v = 2 * value.a + value.b, value.b  # a + b phi = (u + v sqrt5)/2
-    den = lcm(u.denominator, v.denominator)
-    return (u.numerator * (den // u.denominator),
-            v.numerator * (den // v.denominator), 2 * den, 5)
+    return (*value.surd_parts(), 5)
 
 
 def _big_decimal_str(p: int, q: int, r: int, d: int) -> str:

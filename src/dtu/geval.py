@@ -137,6 +137,8 @@ def g_finite_series(lam: Lambda, seq) -> ExactScalar:
     """
     seq = cf.canonical(cf.check_quotients(seq, allow_empty=False))
     lam_v, com_v, zero, _ = _field(lam)
+    if isinstance(lam_v, Fraction):
+        return _rational_series(lam_v, seq)
     odd_sum = 0
     even_sum = 0
     total = zero
@@ -150,6 +152,27 @@ def g_finite_series(lam: Lambda, seq) -> ExactScalar:
         total = total + term if sign > 0 else total - term
         sign = -sign
     return total
+
+
+def _rational_series(lam: Fraction, seq) -> Fraction:
+    """The series of g_finite_series at a rational weight a/b, on integers:
+    after a1..at, with O and E the odd- and even-indexed sums, term is
+    a^O c^E (c = b - a) and total / b^(O+E) is the sum of the signed
+    lambda^O (1-lambda)^E; the series is b/a times that, and one Fraction
+    is normalised at the end, not one per term."""
+    a, b = lam.numerator, lam.denominator
+    c = b - a  # 1 - lambda = c/b
+    total, term, scale = 0, 1, 1
+    for i, k in enumerate(seq):
+        step = b ** k
+        total, scale = total * step, scale * step
+        if i % 2 == 0:
+            term *= a ** k
+            total += term
+        else:
+            term *= c ** k
+            total -= term
+    return Fraction(total * b, scale * a)
 
 
 def question_mark(x: Fraction) -> Fraction:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -20,15 +20,28 @@ def _fibonacci_pair(n: int) -> tuple[int, int]:
     return f, g
 
 
-def sqrt_bounds(d: int, num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic bounds s/2^k, (s+1)/2^k on sqrt(d), s = isqrt(d 4^k), for the
-    term (num/den) sqrt(d) of an enclosure, swapped when num < 0.  k pads
-    bits by 2 and by the size of num/den < 2^(num bits - den bits + 1), so
-    the term's enclosure is narrower than 2^-(bits+1)."""
+def _sqrt_scaled(d: int, num: int, den: int, bits: int) -> tuple[int, int]:
+    """(s, k) with s = isqrt(d 4^k), so s/2^k <= sqrt(d) < (s+1)/2^k, for
+    the term (num/den) sqrt(d) of an enclosure.  k pads bits by 2 and by the
+    size of num/den < 2^(num bits - den bits + 1), so the term's enclosure
+    is narrower than 2^-(bits+1)."""
     k = bits + max(0, abs(num).bit_length() - den.bit_length()) + 2
-    s = isqrt(d << (2 * k))
+    return isqrt(d << (2 * k)), k
+
+
+def sqrt_bounds(d: int, num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Dyadic bounds s/2^k, (s+1)/2^k on sqrt(d) from _sqrt_scaled, swapped
+    when num < 0."""
+    s, k = _sqrt_scaled(d, num, den, bits)
     lo, hi = Fraction(s, 1 << k), Fraction(s + 1, 1 << k)
     return (lo, hi) if num > 0 else (hi, lo)
+
+
+def _exact(x) -> RationalLike:
+    """x as an int when it is integral, else as a Fraction."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def bits_for_width(width: Fraction) -> int:
@@ -40,15 +53,19 @@ def bits_for_width(width: Fraction) -> int:
 class GoldenScalar:
     """An exact element a + b*phi of Q(sqrt5), with a, b rational.
 
-    The representation is unique; comparisons follow the real embedding
-    phi = (1+sqrt5)/2 and are decided by exact rational arithmetic.
+    Each coefficient is stored as an int when it is integral and as a
+    Fraction only when it is not, so the values of Z[phi] (phi^k, and g at
+    the golden weights, whose lambda = phi - 1 and 1 - lambda = 2 - phi are
+    units) run on int arithmetic, by the same formulas.  The representation
+    is unique; comparisons follow the real embedding phi = (1+sqrt5)/2 and
+    are decided by exact rational arithmetic.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: RationalLike, b: RationalLike = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", a if type(a) is int else _exact(a))
+        object.__setattr__(self, "b", b if type(b) is int else _exact(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenScalar is immutable")
@@ -127,9 +144,9 @@ class GoldenScalar:
 
     def sign(self) -> int:
         """Exact sign of the real value a + b*phi."""
-        # a + b(1+sqrt5)/2 = u + v*sqrt5 with u = a + b/2, v = b/2
-        u = self.a + self.b / 2
-        v = self.b / 2
+        # 2(a + b phi) = u + v*sqrt5 with u = 2a + b, v = b
+        v = self.b
+        u = 2 * self.a + v
         if v == 0:
             return (u > 0) - (u < 0)
         if u == 0:
@@ -177,17 +194,33 @@ class GoldenScalar:
 
     # -- numeric views -----------------------------------------------------
 
+    def surd_parts(self) -> tuple[int, int, int]:
+        """Integers (p, q, r) with a + b*phi = (p + q sqrt5)/r and r > 0:
+        (2a + b)/2 + (b/2) sqrt5 over the least common denominator."""
+        u, v = 2 * self.a + self.b, self.b
+        den = lcm(u.denominator, v.denominator)
+        return (u.numerator * (den // u.denominator),
+                v.numerator * (den // v.denominator), 2 * den)
+
     def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
         """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1).
 
-        a + b*phi = (a + b/2) + (b/2) sqrt5, enclosed by sqrt_bounds.
+        a + b*phi = (p + q sqrt5)/r by surd_parts, with sqrt5 enclosed by
+        _sqrt_scaled for the term (b/2) sqrt5, in integers; one Fraction is
+        built per end.
         """
-        v = self.b / 2
-        base = self.a + v
-        if v == 0:
-            return base, base
-        r0, r1 = sqrt_bounds(5, v.numerator, v.denominator, bits)
-        return base + v * r0, base + v * r1
+        if self.b == 0:
+            x = Fraction(self.a)
+            return x, x
+        # k as for b/2 in lowest terms: reducing n/(2d) divides both by 2 or
+        # by nothing, which leaves their difference in bits unchanged
+        s, k = _sqrt_scaled(5, self.b.numerator, 2 * self.b.denominator, bits)
+        p, q, r = self.surd_parts()
+        base, den = p << k, r << k
+        lo, hi = base + q * s, base + q * (s + 1)
+        if q < 0:
+            lo, hi = hi, lo
+        return Fraction(lo, den), Fraction(hi, den)
 
     def __repr__(self):
         return f"GoldenScalar({self.a!r}, {self.b!r})"

@@ -84,11 +84,8 @@ class QuadraticSurd:
 
     @classmethod
     def from_golden(cls, g: GoldenScalar) -> "QuadraticSurd":
-        # a + b*phi = (2a + b)/2 + (b/2) sqrt5
-        u = 2 * g.a + g.b
-        v = g.b
-        den = u.denominator * v.denominator // gcd(u.denominator, v.denominator)
-        return cls(int(u * den), int(v * den), 2 * den, 5)
+        p, q, r = g.surd_parts()
+        return cls(p, q, r, 5)
 
     # -- field-aware arithmetic ---------------------------------------------
 

@@ -185,7 +185,7 @@ def _reference(x, k: int = 2000) -> str:
         return _reference_decimal(x.p, x.q, x.r, x.d, k)
     if isinstance(x, Fraction):
         return _reference_decimal(x.numerator, 0, x.denominator, 1, k)
-    u, v = x.a + x.b / 2, x.b / 2  # x = u + v sqrt5
+    u, v = x.a + Fraction(x.b, 2), Fraction(x.b, 2)  # x = u + v sqrt5
     r = u.denominator * v.denominator
     return _reference_decimal(int(u * r), int(v * r), r, 5, k)
 
@@ -221,6 +221,22 @@ def test_decimal_is_the_correctly_rounded_value():
         "2.01237042016878006617406661025E-63"
     assert decimal_str(g_mediant(LambdaKind.HALF, Fraction(101, 102))) == \
         "1.00000000000000000000000000000"
+
+
+def test_decimal_below_2_to_the_minus_50_on_int_coefficients():
+    # such values are rounded from an enclosure sized by encode._abs_floor,
+    # which must divide their int coefficients exactly
+    cases = [GoldenScalar.phi_power(-120), g_mediant(LambdaKind.TAU, Fraction(1, 200)),
+             GoldenScalar.phi_power(-121) * -3, g_mediant(LambdaKind.PHI_INV,
+                                                          Fraction(199, 200)) - 1]
+    for x in cases:
+        assert type(x.a) is int and type(x.b) is int, x
+        lo, hi = x.bounds(64)
+        assert -Fraction(1, 2 ** 50) < lo <= hi < Fraction(1, 2 ** 50), x
+        assert type(encode._abs_floor(x)) is Fraction, x
+        assert decimal_str(x) == _reference(x), x
+    assert decimal_str(GoldenScalar.phi_power(-120)) == \
+        "8.34609204456396367080443149819E-26"
 
 
 def test_decimal_of_big_coefficients_is_the_correctly_rounded_value():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtu.geval import LambdaKind, g_finite_series, g_mediant, sample_farey
 from dtu.golden import (GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenScalar,
                         bits_for_width)
 
@@ -160,3 +161,115 @@ def test_negation_and_reflected_subtraction():
     h = Fraction(1, 2) - PHI
     assert (h.a, h.b) == (Fraction(1, 2), -1)
     assert (1 - PHI) * PHI == -1
+
+
+def _fraction_sign(g: GoldenScalar) -> int:
+    """GoldenScalar.sign as it was on Fraction coefficients: the oracle."""
+    a, b = Fraction(g.a), Fraction(g.b)
+    u = a + b / 2  # a + b(1+sqrt5)/2 = u + v*sqrt5
+    v = b / 2
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return 1 if v > 0 else -1
+    if u > 0 and v > 0:
+        return 1
+    if u < 0 and v < 0:
+        return -1
+    lhs, rhs = u * u, 5 * v * v
+    if lhs == rhs:
+        return 0
+    if u > 0:
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1
+
+
+def _fraction_bounds(g: GoldenScalar, bits: int) -> tuple[Fraction, Fraction]:
+    """GoldenScalar.bounds as it was on Fraction coefficients: the oracle."""
+    v = Fraction(g.b) / 2
+    base = Fraction(g.a) + v
+    if v == 0:
+        return base, base
+    k = bits + max(0, abs(v.numerator).bit_length() - v.denominator.bit_length()) + 2
+    s = isqrt(5 << (2 * k))
+    r0, r1 = Fraction(s, 1 << k), Fraction(s + 1, 1 << k)
+    if v < 0:
+        r0, r1 = r1, r0
+    return base + v * r0, base + v * r1
+
+
+def _coefficient(rng):
+    """An int (small, or of up to 300 bits) or a Fraction, integral or not."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-99, 99)
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.getrandbits(rng.randint(1, 300))
+    if kind == 2:
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+    if kind == 3:
+        return Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 20))
+    return Fraction(rng.randint(-99, 99))  # integral: stored as an int
+
+
+def _oracle_values(rng, count):
+    """Random scalars, with the edge cases of sign among them: b = 0,
+    u = 2a + b = 0, phi^k times a coefficient (u^2 close to 5 v^2), and 0."""
+    for i in range(count):
+        kind = i % 5
+        if kind == 0:
+            yield GoldenScalar(_coefficient(rng), _coefficient(rng))
+        elif kind == 1:
+            yield GoldenScalar(_coefficient(rng))
+        elif kind == 2:
+            b = _coefficient(rng)
+            yield GoldenScalar(Fraction(-b, 2), b)
+        elif kind == 3:
+            yield (GoldenScalar.phi_power(rng.randint(-400, 400))
+                   * _coefficient(rng))
+        else:
+            yield GoldenScalar(_coefficient(rng), _coefficient(rng)) * 0
+
+
+def test_sign_and_bounds_equal_the_fraction_formulas():
+    rng = random.Random(19)
+    for g in _oracle_values(rng, 10_000):
+        assert g.sign() == _fraction_sign(g), g
+        for bits in (0, 5, 64, 200, 400):
+            lo, hi = g.bounds(bits)
+            assert (lo, hi) == _fraction_bounds(g, bits), (g, bits)
+            assert type(lo) is Fraction and type(hi) is Fraction, (g, bits)
+
+
+def _is_canonical(x) -> bool:
+    """An int, or a Fraction that is not integral: never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def test_ops_never_make_a_float_or_integral_fraction_coefficient():
+    rng = random.Random(23)
+    for _ in range(2000):
+        u = GoldenScalar(_coefficient(rng), _coefficient(rng))
+        v = GoldenScalar(_coefficient(rng), _coefficient(rng))
+        r = _coefficient(rng)
+        results = [u + v, u - v, u * v, -u, u + r, r + u, u - r, r - u,
+                   u * r, r * u, u ** rng.randint(0, 5)]
+        for w in results:
+            assert _is_canonical(w.a) and _is_canonical(w.b), (u, v, r, w)
+    for x in (1.5, 2.0, True, Fraction(6, 3), "3/4"):
+        g = GoldenScalar(x, x)
+        assert _is_canonical(g.a) and g == GoldenScalar(Fraction(x), Fraction(x))
+
+
+def test_golden_field_values_have_int_coefficients():
+    def ints(g):
+        return type(g.a) is int and type(g.b) is int
+
+    assert all(ints(GoldenScalar.phi_power(k)) for k in range(-500, 501))
+    for lam in (LambdaKind.PHI_INV, LambdaKind.TAU):
+        table = sample_farey(lam, 60)
+        assert all(ints(g) for _, g in table), lam
+        for x, g in table[1:-1]:
+            assert ints(g_mediant(lam, x)), (lam, x)
+        assert ints(g_finite_series(lam, (3, 1, 4, 1, 5))), lam
+        assert ints(g_mediant(lam, Fraction(1, 100000))), lam
