@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import dtu
 from dtu import cf
 from dtu.classify import (CLASSIFY_QUOTIENT_SUM_MAX, WITNESS_QUOTIENTS_MAX,
-                          kappa2_bracket)
+                          c734_word, kappa2_bracket)
 from dtu.cli import main
 from dtu.encode import (decimal_str, parse_fraction, parse_golden, parse_seq,
                         parse_surd)
@@ -415,6 +416,30 @@ def test_deterministic_outputs(capsys):
                            "--depth", "5")
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# sha256 of outputs too large for tests/golden, recorded before compare
+# became exact and both bounds methods shared one enclosure
+@pytest.mark.parametrize("argv, digest", [
+    (["sample", "--lambda", "half", "--depth", "200"],
+     "3e622e3ac337a2f2851ef6b3867373d6a137afbf5c8931c88979d57975084457"),
+    (["sample", "--lambda", "phi-inv", "--depth", "200"],
+     "6be4dd034f09c7faf7a46ee0fb04c37a65853e24880d29c2d0c91d45eef9cad1"),
+    (["sample", "--lambda", "tau", "--depth", "200"],
+     "64661541ea8d417ccb9ee3bb94c8771ceb8d5f9382a6508e1c97ecbb037d9387"),
+    # 2,446 quotients: the growth rate passes encode._BIG_BITS, so its
+    # decimal comes from _big_decimal_str
+    (["classify", "--period", "c734_word(400, 1223)"],
+     "a35ac09625ec98a094d8e23c38e30d35616b347ab36048800f3e38305ff773bc"),
+], ids=["sample-half", "sample-phi-inv", "sample-tau", "classify-c734"])
+def test_large_outputs_are_pinned_by_hash(capsys, argv, digest):
+    if argv[-1].startswith("c734_word"):
+        word = c734_word(400, 1223)
+        assert len(word) == 2446
+        argv = argv[:-1] + [",".join(map(str, word))]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_env_cap_override(capsys, monkeypatch):
