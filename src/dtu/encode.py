@@ -78,7 +78,9 @@ def int_str(n: int) -> str:
     return "-" + text if n < 0 else text
 
 
-def fraction_str(x: Fraction) -> str:
+def fraction_str(x) -> str:
+    if type(x) is int:
+        return int_str(x)
     if not isinstance(x, Fraction):
         x = Fraction(x)
     num, den = x.numerator, x.denominator
@@ -180,7 +182,7 @@ def exact_str(value) -> str:
         return golden_str(value)
     if isinstance(value, QuadraticSurd):
         return surd_str(value)
-    return fraction_str(Fraction(value))
+    return fraction_str(value)
 
 
 def _exponent(x: Fraction) -> int:
@@ -188,30 +190,23 @@ def _exponent(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-def _abs_floor(x) -> Fraction:
-    """A lower bound on |x| for irrational x: its norm x x' over |x'|."""
-    if isinstance(x, GoldenScalar):  # x' = a + b(1 - phi), |1 - phi| < 1
-        a, b = x.a, x.b  # int coefficients would divide to a float by /
-        return Fraction(abs(a * a + a * b - b * b), abs(a) + abs(b))
-    p, q, r, d = x.p, x.q, x.r, x.d  # x' = (p - q sqrt(d))/r
-    return Fraction(abs(p * p - q * q * d), r * (abs(p) + abs(q) * (isqrt(d) + 1)))
-
-
-def _coefficient_bits(value) -> int:
-    """Bits of the largest integer that a golden or surd value is made of."""
-    if isinstance(value, QuadraticSurd):
-        ints = (value.p, value.q, value.r, value.d)
-    else:
-        ints = (value.a.numerator, value.a.denominator,
-                value.b.numerator, value.b.denominator)
-    return max(map(int.bit_length, ints))
-
-
 def _surd_parts(value) -> tuple[int, int, int, int]:
     """(p, q, r, d) with value = (p + q sqrt(d))/r and r > 0."""
     if isinstance(value, QuadraticSurd):
         return value.p, value.q, value.r, value.d
     return (*value.surd_parts(), 5)
+
+
+def _abs_floor(x) -> Fraction:
+    """A lower bound on |x| for irrational x = (p + q sqrt(d))/r: its norm
+    (p^2 - q^2 d)/r^2 over |x'| < (|p| + |q| (isqrt(d) + 1))/r."""
+    p, q, r, d = _surd_parts(x)
+    return Fraction(abs(p * p - q * q * d), r * (abs(p) + abs(q) * (isqrt(d) + 1)))
+
+
+def _coefficient_bits(value) -> int:
+    """Bits of the largest of the integers p, q, r, d of a golden or surd value."""
+    return max(map(int.bit_length, _surd_parts(value)))
 
 
 def _big_decimal_str(p: int, q: int, r: int, d: int) -> str:

@@ -20,21 +20,35 @@ def _fibonacci_pair(n: int) -> tuple[int, int]:
     return f, g
 
 
-def _sqrt_scaled(d: int, num: int, den: int, bits: int) -> tuple[int, int]:
-    """(s, k) with s = isqrt(d 4^k), so s/2^k <= sqrt(d) < (s+1)/2^k, for
-    the term (num/den) sqrt(d) of an enclosure.  k pads bits by 2 and by the
-    size of num/den < 2^(num bits - den bits + 1), so the term's enclosure
-    is narrower than 2^-(bits+1)."""
-    k = bits + max(0, abs(num).bit_length() - den.bit_length()) + 2
-    return isqrt(d << (2 * k)), k
+def _sign(u, v, d: int) -> int:
+    """Exact sign of u + v sqrt(d), for rational u, v and d >= 1: agreeing
+    signs decide it, otherwise the sign of u^2 - v^2 d does, taken with u's."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su * sv >= 0:
+        return su or sv
+    n = u * u - v * v * d
+    return su * ((n > 0) - (n < 0))
 
 
-def sqrt_bounds(d: int, num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic bounds s/2^k, (s+1)/2^k on sqrt(d) from _sqrt_scaled, swapped
-    when num < 0."""
-    s, k = _sqrt_scaled(d, num, den, bits)
-    lo, hi = Fraction(s, 1 << k), Fraction(s + 1, 1 << k)
-    return (lo, hi) if num > 0 else (hi, lo)
+def _enclosure(p: int, q: int, r: int, d: int, bits: int,
+               size: int) -> tuple[Fraction, Fraction]:
+    """[lo, hi] around (p + q sqrt(d))/r, r > 0, narrower than 2^-(bits+1)
+    when |q/r| < 2^(size+1).
+
+    s = isqrt(d 4^k) gives s/2^k <= sqrt(d) < (s+1)/2^k, with k padding
+    bits by 2 and by the size of q/r; the ends are (p 2^k + q s) and
+    (p 2^k + q (s+1)) over r 2^k, swapped when q < 0, one Fraction each.
+    """
+    if not q:
+        x = Fraction(p, r)
+        return x, x
+    k = bits + max(0, size) + 2
+    s = isqrt(d << (2 * k))
+    base, den = p << k, r << k
+    lo, hi = base + q * s, base + q * (s + 1)
+    if q < 0:
+        lo, hi = hi, lo
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def _exact(x) -> RationalLike:
@@ -143,25 +157,8 @@ class GoldenScalar:
     # -- exact ordering ----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of the real value a + b*phi."""
-        # 2(a + b phi) = u + v*sqrt5 with u = 2a + b, v = b
-        v = self.b
-        u = 2 * self.a + v
-        if v == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        # opposite signs: compare u^2 against 5 v^2
-        lhs, rhs = u * u, 5 * v * v
-        if lhs == rhs:
-            return 0
-        if u > 0:  # v < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        """Exact sign of the real value a + b*phi = ((2a + b) + b sqrt5)/2."""
+        return _sign(2 * self.a + self.b, self.b, 5)
 
     def _cmp(self, other) -> int:
         other = self._coerce(other)
@@ -203,24 +200,13 @@ class GoldenScalar:
                 v.numerator * (den // v.denominator), 2 * den)
 
     def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1).
-
-        a + b*phi = (p + q sqrt5)/r by surd_parts, with sqrt5 enclosed by
-        _sqrt_scaled for the term (b/2) sqrt5, in integers; one Fraction is
-        built per end.
-        """
-        if self.b == 0:
-            x = Fraction(self.a)
-            return x, x
-        # k as for b/2 in lowest terms: reducing n/(2d) divides both by 2 or
-        # by nothing, which leaves their difference in bits unchanged
-        s, k = _sqrt_scaled(5, self.b.numerator, 2 * self.b.denominator, bits)
-        p, q, r = self.surd_parts()
-        base, den = p << k, r << k
-        lo, hi = base + q * s, base + q * (s + 1)
-        if q < 0:
-            lo, hi = hi, lo
-        return Fraction(lo, den), Fraction(hi, den)
+        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1):
+        _enclosure of surd_parts, sized by b/2 in lowest terms (reducing
+        n/(2d) divides both by 2 or by nothing, which leaves their difference
+        in bits unchanged)."""
+        b = self.b
+        size = abs(b.numerator).bit_length() - (2 * b.denominator).bit_length()
+        return _enclosure(*self.surd_parts(), 5, bits, size)
 
     def __repr__(self):
         return f"GoldenScalar({self.a!r}, {self.b!r})"

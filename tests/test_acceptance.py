@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
 import pytest
 
 from dtu import cf
@@ -128,9 +127,9 @@ def test_criterion_3_kan_identity():
             m00, m01 = m00 * a + m01, m00
             m10, m11 = m10 * a + m11, m10
         mats[w] = (m00, m01, m10, m11)
-    # vectorized over R: direct differences of genuine matrix concatenations
-    r00 = np.array([mats[w][0] for w in words], dtype=np.int64)
-    r10 = np.array([mats[w][2] for w in words], dtype=np.int64)
+    # both sides are linear in (r00, r10) = column 0 of M_R: where their
+    # coefficients agree they agree for every R, else count the R they miss
+    r_cols = [(mats[w][0], mats[w][2]) for w in words]
     failures = 0
     q_words = [w for w in words if w]
     for p in words:
@@ -142,10 +141,15 @@ def test_criterion_3_kan_identity():
             a1 = p00 * q01 + p01 * q11
             b0 = p00 * q00 + p01 * q01
             b1 = p00 * q10 + p01 * q11
-            direct = (a0 - b0) * r00 + (a1 - b1) * r10
+            # direct differences of genuine matrix concatenations
+            direct = (a0 - b0, a1 - b1)
             # product formula ([rev P] - [R]) ([Q] - [rev Q]) <P><Q><R>
-            formula = (p01 * r00 - p00 * r10) * (q10 - q01)
-            failures += int(np.count_nonzero(direct != formula))
+            formula = (p01 * (q10 - q01), -p00 * (q10 - q01))
+            if direct != formula:
+                failures += sum(
+                    direct[0] * r00 + direct[1] * r10
+                    != formula[0] * r00 + formula[1] * r10
+                    for r00, r10 in r_cols)
     rng = random.Random(103)
     for _ in range(10_000):
         P = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 5)))

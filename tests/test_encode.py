@@ -234,6 +234,7 @@ def test_decimal_below_2_to_the_minus_50_on_int_coefficients():
         lo, hi = x.bounds(64)
         assert -Fraction(1, 2 ** 50) < lo <= hi < Fraction(1, 2 ** 50), x
         assert type(encode._abs_floor(x)) is Fraction, x
+        assert 0 < encode._abs_floor(x) < (x if x > 0 else -x), x
         assert decimal_str(x) == _reference(x), x
     assert decimal_str(GoldenScalar.phi_power(-120)) == \
         "8.34609204456396367080443149819E-26"

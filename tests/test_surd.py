@@ -1,4 +1,4 @@
-"""Quadratic surd canonicalization, arithmetic and certified comparison."""
+"""Quadratic surd canonicalization, arithmetic and exact comparison."""
 
 import random
 from fractions import Fraction
@@ -42,7 +42,7 @@ def test_ordering_examples():
     lam = QuadraticSurd(15, 4, 1, 14)
     assert compare_values(lam * lam, GoldenScalar.phi_power(15)) == -1
     assert compare_values(lam * lam, GoldenScalar.phi_power(14)) == 1
-    # unequal values whose 64-bit enclosures overlap separate by refinement
+    # unequal values whose 64-bit enclosures overlap are decided exactly
     root2 = QuadraticSurd(0, 1, 1, 2)
     nudged = root2 + Fraction(1, 2 ** 200)
     lo, hi = root2.bounds(64)
@@ -65,7 +65,7 @@ def test_cross_field_equality_via_square_merge():
     b = QuadraticSurd(0, 2, 1, 2)
     assert a == b
     assert a.algebraically_equal(b)
-    # sqrt(2) vs sqrt(3): never equal, ordering by refinement
+    # sqrt(2) vs sqrt(3): never equal, ordered across fields
     assert QuadraticSurd(0, 1, 1, 2) < QuadraticSurd(0, 1, 1, 3)
 
 
@@ -168,3 +168,152 @@ def test_mixed_comparisons_negation_and_reflected_subtraction():
         got = k - phi
         assert (got.p, got.q, got.r, got.d) == want
     assert (1 - phi) * phi == -1
+
+
+def _fraction_bounds(x: QuadraticSurd, bits: int) -> tuple[Fraction, Fraction]:
+    """QuadraticSurd.bounds as it was, with Fraction bounds on sqrt(d): the
+    oracle."""
+    if x.q == 0:
+        v = Fraction(x.p, x.r)
+        return v, v
+    k = bits + max(0, abs(x.q).bit_length() - x.r.bit_length()) + 2
+    s = isqrt(x.d << (2 * k))
+    r0, r1 = Fraction(s, 1 << k), Fraction(s + 1, 1 << k)
+    if x.q < 0:
+        r0, r1 = r1, r0
+    return (x.p + x.q * r0) / x.r, (x.p + x.q * r1) / x.r
+
+
+def _refined_compare(x, y) -> int:
+    """QuadraticSurd.compare as it was, by dyadic refinement: the oracle.
+    Equality is tested algebraically once the 64-bit enclosures overlap;
+    unequal values separate as the precision doubles."""
+    x, y = QuadraticSurd._coerce(x), QuadraticSurd._coerce(y)
+    bits = 64
+    while True:
+        alo, ahi = _fraction_bounds(x, bits)
+        blo, bhi = _fraction_bounds(y, bits)
+        if ahi < blo:
+            return -1
+        if bhi < alo:
+            return 1
+        if bits == 64 and x.algebraically_equal(y):
+            return 0
+        bits *= 2
+
+
+# radicands with square factors above _SMALL_PRIMES, which stay in d
+_RADICANDS = (2, 3, 5, 6, 7, 13, 2 * 101 ** 2, 5 * 103 ** 2, 3 * 101 ** 2 * 107 ** 2)
+
+
+def _random_surd(rng, d=None):
+    big = rng.random() < 0.2
+    top = 10 ** 30 if big else 50
+    return QuadraticSurd(rng.randint(-top, top), rng.randint(-top, top),
+                         rng.randint(1, top), d or rng.choice(_RADICANDS))
+
+
+def _other_form(rng, x: QuadraticSurd) -> QuadraticSurd:
+    """x with its radicand multiplied by a square above _SMALL_PRIMES, or
+    divided by one: an equal value in a different representation."""
+    for f in (101, 103, 107):
+        if x.d % (f * f) == 0 and rng.random() < 0.5:
+            return QuadraticSurd(x.p, x.q * f, x.r, x.d // (f * f))
+    f = rng.choice((101, 103, 107))
+    return QuadraticSurd(x.p * f, x.q, x.r * f, x.d * f * f)
+
+
+def _pairs(rng, count):
+    """Pairs (x, y, kind): from one field (0), from two fields (1), one
+    value in two forms (2), near-ties a rational 2^-k apart (3), and a
+    surd against a rational (4)."""
+    for i in range(count):
+        kind = i % 5
+        x = _random_surd(rng)
+        if kind == 0:
+            y = _random_surd(rng, x.d)
+        elif kind == 1:
+            y = _random_surd(rng)
+        elif kind == 2:
+            y = _other_form(rng, x)
+        elif kind == 3:
+            y = _other_form(rng, x) + Fraction(rng.choice([-1, 1]),
+                                               2 ** rng.randint(1, 300))
+        else:
+            y = rng.choice([QuadraticSurd.from_fraction(_fraction_bounds(x, 70)[0]),
+                            _random_surd(rng, 1)])
+        yield x, y, kind
+
+
+def test_compare_equals_refinement_on_random_pairs():
+    rng = random.Random(20)
+    signs, forms = set(), 0
+    for x, y, kind in _pairs(rng, 5000):
+        want = _refined_compare(x, y)
+        if kind == 2:  # two radicands unless x is rational
+            assert want == 0 and (x.d != y.d or x.q == 0), (x, y)
+            forms += x.d != y.d
+        assert x.compare(y) == want and y.compare(x) == -want, (x, y)
+        assert compare_values(x, y) == want, (x, y)
+        assert compare_values(y, x) == -want, (x, y)
+        signs.add(want)
+    assert signs == {-1, 0, 1} and forms > 900
+
+
+def test_compare_with_golden_rational_and_int_operands():
+    rng = random.Random(21)
+    for _ in range(1000):
+        x = _random_surd(rng, rng.choice([5, 5 * 103 ** 2, 2, 3]))
+        g = GoldenScalar(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
+                         rng.randint(-50, 50))
+        near = Fraction(g.a) + Fraction(g.b) * _fraction_bounds(
+            QuadraticSurd(1, 1, 2, 5), 80)[rng.randint(0, 1)]
+        for y in (g, Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+                  rng.randint(-9, 9), near):
+            want = _refined_compare(x, y)
+            assert x.compare(y) == want, (x, y)
+            assert compare_values(x, y) == want, (x, y)
+            assert compare_values(y, x) == -want, (x, y)
+        # a golden scalar against its own value as a surd, in either order
+        s = QuadraticSurd.from_golden(g)
+        assert compare_values(g, s) == 0 == compare_values(s, g)
+        assert compare_values(g, near) == _refined_compare(g, near)
+
+
+def test_compare_decides_the_near_tie_of_sqrt2_and_a_deep_convergent():
+    # the n-th convergent p/q of sqrt2 has p + q sqrt2 = (1 + sqrt2)^(n+1)
+    # and p^2 - 2 q^2 = (-1)^(n+1), so the 3000th lies below sqrt2
+    p, q = 1, 1
+    for _ in range(3000):
+        p, q = p + 2 * q, p + q
+    assert q.bit_length() == 3815 and p * p - 2 * q * q == -1
+    # sqrt2, also as sqrt(2 101^2)/101
+    for root2 in (QuadraticSurd(0, 1, 1, 2), QuadraticSurd(0, 1, 101, 2 * 101 ** 2)):
+        for c in (Fraction(p, q), QuadraticSurd(p, 0, q, 1)):
+            want = _refined_compare(root2, c)
+            assert want == 1
+            assert root2.compare(c) == want and compare_values(c, root2) == -want
+    # across fields: sqrt3 against (1 + sqrt2) scaled by a convergent of
+    # its ratio to sqrt3
+    x = QuadraticSurd(1, 1, 1, 2)
+    ratio = (_fraction_bounds(x, 4000)[0] / _fraction_bounds(
+        QuadraticSurd(0, 1, 1, 3), 4000)[0]).limit_denominator(10 ** 500)
+    y = QuadraticSurd(0, ratio.numerator, ratio.denominator, 3)
+    want = _refined_compare(x, y)
+    assert want != 0
+    assert x.compare(y) == want and y.compare(x) == -want
+
+
+def test_bounds_equal_the_fraction_formula():
+    rng = random.Random(22)
+    surds = [_random_surd(rng) for _ in range(1500)]
+    surds += [QuadraticSurd.from_golden(GoldenScalar.phi_power(rng.randint(-900, 900)))
+              * rng.randint(-99, 99) for _ in range(200)]
+    surds += [cf.periodic_value(PeriodicCF((), tuple(rng.randint(1, 12) for _ in
+                                                     range(2 * rng.randint(1, 30)))))
+              for _ in range(100)]
+    for x in surds:
+        for bits in (0, 5, 64, 200, 400):
+            lo, hi = x.bounds(bits)
+            assert (lo, hi) == _fraction_bounds(x, bits), (x, bits)
+            assert type(lo) is Fraction and type(hi) is Fraction, (x, bits)
