@@ -427,11 +427,17 @@ def test_deterministic_outputs(capsys):
      "6be4dd034f09c7faf7a46ee0fb04c37a65853e24880d29c2d0c91d45eef9cad1"),
     (["sample", "--lambda", "tau", "--depth", "200"],
      "64661541ea8d417ccb9ee3bb94c8771ceb8d5f9382a6508e1c97ecbb037d9387"),
+    # rational weights whose walk divides by b = 7 and b = 8
+    (["sample", "--lambda", "3/7", "--depth", "120"],
+     "f6252b7d8363f67f2cc8beeb7ae5b1b8f6d4528862b35df4e909ae8b72b793f2"),
+    (["sample", "--lambda", "5/8", "--depth", "120"],
+     "435e234b32bc567c3bdd244263770b316bcc962a9fcdff7f904bc18cb1454765"),
     # 2,446 quotients: the growth rate passes encode._BIG_BITS, so its
     # decimal comes from _big_decimal_str
     (["classify", "--period", "c734_word(400, 1223)"],
      "a35ac09625ec98a094d8e23c38e30d35616b347ab36048800f3e38305ff773bc"),
-], ids=["sample-half", "sample-phi-inv", "sample-tau", "classify-c734"])
+], ids=["sample-half", "sample-phi-inv", "sample-tau", "sample-3-7",
+         "sample-5-8", "classify-c734"])
 def test_large_outputs_are_pinned_by_hash(capsys, argv, digest):
     if argv[-1].startswith("c734_word"):
         word = c734_word(400, 1223)
