@@ -98,10 +98,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sample(args) -> int:
     from .encode import decimal_str, exact_str
-    from .geval import DEFAULT_FAREY_DEPTH_CAP, sample_farey
+    from .geval import DEFAULT_FAREY_DEPTH_CAP, check_sample_cost, sample_farey
 
     lam = _parse_lambda(args.lam)
     cap = _env_cap("FAREY_DEPTH_CAP", DEFAULT_FAREY_DEPTH_CAP)
+    check_sample_cost(lam, args.depth)
     table = sample_farey(lam, args.depth, depth_cap=cap)
     lines = ["x_num,x_den,g_exact,g_decimal"]
     for x, g in table:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 import sys
-from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
+from decimal import (MAX_EMAX, MAX_PREC, ROUND_HALF_EVEN, Context, Decimal,
+                     Inexact, localcontext)
 from fractions import Fraction
 from math import isqrt
 
@@ -23,6 +24,9 @@ from .surd import QuadraticSurd
 _DIGITS = 30  # significant digits of decimal_str
 _BITS = 200  # precision of its first enclosure
 _GUARD = 150  # bits of |x| that its enclosures resolve
+# its arithmetic, one context for every call (a localcontext per call took
+# about 1.8 us of its 14 on the rows of a depth-200 table)
+_CONTEXT = Context(prec=_DIGITS, rounding=ROUND_HALF_EVEN)
 _BIG_BITS = 4096  # coefficient bits beyond which it works in integers
 # int_str converts ints of more bits by divide and conquer: with CPython
 # 3.11 on a 2-core Xeon VM, str() takes 1.5 ms at 32,000 bits, as long as
@@ -243,15 +247,23 @@ def _big_decimal_str(p: int, q: int, r: int, d: int) -> str:
     return str(Decimal((sign, tuple(map(int, str(digits))), -t)))
 
 
+def _midpoint(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """(lo + hi)/2 as an unreduced numerator and a positive denominator."""
+    return (lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+            2 * lo.denominator * hi.denominator)
+
+
 def decimal_str(value) -> str:
     """The value correctly rounded (half-even) to 30 significant digits.
 
     A golden or surd value x is rounded from the midpoint of an enclosure
-    narrower than 2^-150 |x|: bounds(200), or for |x| below about 2^-50 one
+    narrower than 2^-150 |x|: bounds(200), or for |x| at most 2^-50 one
     sized from an exact lower bound on |x|.  So the digits are those of x
-    unless x lies that close to a rounding tie.  An irrational x whose
-    coefficients pass _BIG_BITS bits is rounded by `_big_decimal_str`, whose
-    work grows with those bits but never normalises a Fraction of them.
+    unless x lies that close to a rounding tie.  The midpoint is kept as
+    the unreduced quotient of the ends' integers, whose correctly rounded
+    Decimal quotient is that of the reduced Fraction.  An irrational x
+    whose coefficients pass _BIG_BITS bits is rounded by `_big_decimal_str`,
+    whose work grows with those bits but never normalises a Fraction of them.
     """
     if isinstance(value, (GoldenScalar, QuadraticSurd)):
         if _coefficient_bits(value) > _BIG_BITS:
@@ -259,18 +271,16 @@ def decimal_str(value) -> str:
             if q:
                 return _big_decimal_str(p, q, r, d)
         lo, hi = value.bounds(_BITS)
-        approx = (lo + hi) / 2
-        # |approx| > 2^-50 leaves |x| > 2^-51, as the width is below 2^-201
-        if lo != hi and (not approx or _exponent(approx) + _BITS <= _GUARD):
-            lo, hi = value.bounds(_GUARD - _exponent(_abs_floor(value)))
-            approx = (lo + hi) / 2
+        num, den = _midpoint(lo, hi)
+        # |num/den| > 2^-50 leaves |x| > 2^-51, as the width is below 2^-201
+        if lo != hi and abs(num) << (_BITS - _GUARD) <= den:
+            num, den = _midpoint(*value.bounds(_GUARD - _exponent(_abs_floor(value))))
     else:
-        approx = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = _DIGITS
-        dec = Decimal(approx.numerator) / Decimal(approx.denominator)
-        if dec == 0:
-            return "0." + "0" * (_DIGITS - 1)
-        # the exponent of the rounded quotient: 0.99..96 rounds up to 1.00..0
-        quantum = Decimal(1).scaleb(dec.adjusted() - _DIGITS + 1)
-        return str(dec.quantize(quantum))
+        x = value if isinstance(value, Fraction) else Fraction(value)
+        num, den = x.numerator, x.denominator
+    dec = _CONTEXT.divide(Decimal(num), Decimal(den))
+    if dec == 0:
+        return "0." + "0" * (_DIGITS - 1)
+    # the exponent of the rounded quotient: 0.99..96 rounds up to 1.00..0
+    quantum = Decimal(1).scaleb(dec.adjusted() - _DIGITS + 1, _CONTEXT)
+    return str(dec.quantize(quantum, context=_CONTEXT))

@@ -29,6 +29,11 @@ DEFAULT_FAREY_DEPTH_CAP = 512
 # x = 1/100000 prints 42 kB.
 EVAL_QUOTIENTS_MAX = 2 ** 10
 EVAL_QUOTIENT_SUM_MAX = 2 ** 17
+# The most work that `dtu sample` takes on, checked by check_sample_cost
+# before sample_farey runs: the depth, counted once per bit of q for a
+# rational weight p/q, as a value at depth D then has about D log2(q) bits.
+# Every named weight, and every q < 2^8, passes up to the default depth cap.
+SAMPLE_WEIGHTED_DEPTH_MAX = 8 * DEFAULT_FAREY_DEPTH_CAP
 
 ExactScalar = Union[Fraction, GoldenScalar]
 
@@ -126,6 +131,18 @@ def check_mediant_cost(lam: Lambda, x) -> None:
             each = f", each counted {weight} times for lambda," if weight > 1 else ""
             raise CapExceededError(f"the partial quotients of x{each} sum past"
                                    f" the cap {EVAL_QUOTIENT_SUM_MAX}")
+
+
+def check_sample_cost(lam: Lambda, depth: int) -> None:
+    """Raise CapExceededError when depth, counted once per bit of q for a
+    rational weight p/q, passes SAMPLE_WEIGHTED_DEPTH_MAX.  A weight outside
+    (0, 1) is left to sample_farey."""
+    if not isinstance(lam, Fraction) or not 0 < lam < 1:
+        return
+    weight = lam.denominator.bit_length()
+    if depth * weight > SAMPLE_WEIGHTED_DEPTH_MAX:
+        raise CapExceededError(f"depth {depth}, counted {weight} times for lambda,"
+                               f" passes the cap {SAMPLE_WEIGHTED_DEPTH_MAX}")
 
 
 def g_finite_series(lam: Lambda, seq) -> ExactScalar:
@@ -253,28 +270,49 @@ def sample_farey(lam: Lambda, depth: int,
 
     Values are propagated down the tree (each mediant's value from its two
     parents), so the table is a single in-order traversal that computes each
-    value once.
+    value once.  The walk runs on integers for every weight: with lambda and
+    1 - lambda written as Z[phi] numerators over one integer b (b = 1 at the
+    golden weights, b = q at a rational weight p/q), a value is an int pair
+    (x, y), x + y phi over b^depth.  Rows are GoldenScalar(x, y) at the
+    golden weights and Fraction(x, b^depth) at rational ones.
     """
+    lam_v, com_v, _, _ = _field(lam)  # a weight outside (0, 1) is a usage error
     if depth < 1:
         raise InputError("depth must be >= 1")
     if depth > depth_cap:
         raise CapExceededError(f"depth {depth} exceeds cap {depth_cap}")
-    lam_v, com_v, zero, one = _field(lam)
-    out: list[tuple[Fraction, ExactScalar]] = [(Fraction(0), zero)]
+    if isinstance(lam_v, GoldenScalar):
+        b, row = 1, GoldenScalar
+        la, lb, ca, cb = lam_v.a, lam_v.b, com_v.a, com_v.b
+    else:
+        b = lam_v.denominator
+        la, lb, ca, cb = lam_v.numerator, 0, b - lam_v.numerator, 0
+
+        def row(x, _):
+            return Fraction(x, scale)
+    scale = b ** depth
     # in-order walk of the mediant tree restricted to denominators <= depth:
     # go left from (l, r) while the mediant fits, keeping each mediant with
-    # its value and its right end; a popped mediant is the next left end
-    ln, ld, gl = 0, 1, zero
-    rn, rd, gr = 1, 1, one
+    # its value and its right end; a popped mediant is the next left end.
+    # g(m) = ((ca + cb phi) g(l) + (la + lb phi) g(r)) / b by the Z[phi]
+    # product (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi, and the
+    # division is exact: a node at tree depth t has a value over b^t, and a
+    # node p/q has t = (sum of the partial quotients of p/q) - 1 <= q - 1,
+    # so every node of order <= depth has t < depth
+    out: list[tuple[Fraction, ExactScalar]] = [(Fraction(0), row(0, 0))]
+    ln, ld, lx, ly = 0, 1, 0, 0
+    rn, rd, rx, ry = 1, 1, scale, 0
     stack = []
     while True:
         while ld + rd <= depth:
-            mn, md, gm = ln + rn, ld + rd, com_v * gl + lam_v * gr
-            stack.append((mn, md, gm, rn, rd, gr))
-            rn, rd, gr = mn, md, gm
+            mn, md = ln + rn, ld + rd
+            mx = (ca * lx + cb * ly + la * rx + lb * ry) // b
+            my = (ca * ly + cb * (lx + ly) + la * ry + lb * (rx + ry)) // b
+            stack.append((mn, md, mx, my, rn, rd, rx, ry))
+            rn, rd, rx, ry = mn, md, mx, my
         if not stack:
             break
-        ln, ld, gl, rn, rd, gr = stack.pop()
-        out.append((Fraction(ln, ld), gl))
-    out.append((Fraction(1), one))
+        ln, ld, lx, ly, rn, rd, rx, ry = stack.pop()
+        out.append((Fraction(ln, ld), row(lx, ly)))
+    out.append((Fraction(1), row(scale, 0)))
     return out

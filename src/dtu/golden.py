@@ -30,6 +30,24 @@ def _sign(u, v, d: int) -> int:
     return su * ((n > 0) - (n < 0))
 
 
+# (d, K, isqrt(d 4^K)) of the last root _sqrt_floor took, K the largest
+# asked for that d since
+_root = (0, -1, 0)
+
+
+def _sqrt_floor(d: int, k: int) -> int:
+    """isqrt(d 4^k) = floor(sqrt(d) 2^k): for k <= K it is the cached
+    floor(sqrt(d) 2^K) shifted right by K - k, as floor(floor(y)/2^j) =
+    floor(y/2^j); otherwise it is taken afresh and cached."""
+    global _root
+    cached_d, cached_k, root = _root
+    if d == cached_d and k <= cached_k:
+        return root >> (cached_k - k)
+    root = isqrt(d << (2 * k))
+    _root = (d, k, root)
+    return root
+
+
 def _enclosure(p: int, q: int, r: int, d: int, bits: int,
                size: int) -> tuple[Fraction, Fraction]:
     """[lo, hi] around (p + q sqrt(d))/r, r > 0, narrower than 2^-(bits+1)
@@ -43,7 +61,7 @@ def _enclosure(p: int, q: int, r: int, d: int, bits: int,
         x = Fraction(p, r)
         return x, x
     k = bits + max(0, size) + 2
-    s = isqrt(d << (2 * k))
+    s = _sqrt_floor(d, k)
     base, den = p << k, r << k
     lo, hi = base + q * s, base + q * (s + 1)
     if q < 0:

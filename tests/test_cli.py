@@ -283,6 +283,11 @@ _LENGTH_CAP = EXTREMAL_LENGTH_MAX
     (["eval", "--lambda", "3/7", "--x", f"1/{_EVAL_CAP // 3}"],
      ["eval", "--lambda", "3/7", "--x", f"1/{_EVAL_CAP // 3 + 1}"],
      "each counted 3 times for lambda, sum past"),
+    # the Farey order of sample, counted once per bit of q for a weight p/q:
+    # a q of 1,024 bits allows depth 4
+    (["sample", "--lambda", f"1/{2 ** 1023}", "--depth", "4"],
+     ["sample", "--lambda", f"1/{2 ** 1023}", "--depth", "5"],
+     f"depth 5, counted 1024 times for lambda, passes the cap {8 * 512}"),
     # the word length of --mode min|max; past the cap, per-pair sum 10 over
     # 257 pairs leaves the odd remainder whose balanced branch is cubic in
     # the pair count
@@ -295,7 +300,8 @@ _LENGTH_CAP = EXTREMAL_LENGTH_MAX
       "--mode", "max"],
      f"length {_LENGTH_CAP + 2} exceeds the cap {_LENGTH_CAP} of --mode max"),
 ], ids=["classify-sum", "classify-odd", "eval-count", "eval-sum", "eval-cf-sum",
-        "eval-rational-weight", "extremal-min", "extremal-max"])
+        "eval-rational-weight", "sample-rational-weight", "extremal-min",
+        "extremal-max"])
 def test_classify_and_eval_caps(capsys, at_cap, over_cap, message):
     code, out, _ = run(capsys, *at_cap)
     assert code == 0 and out
@@ -446,6 +452,14 @@ def test_large_outputs_are_pinned_by_hash(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sample_rejects_a_weight_outside_0_1_before_its_caps(capsys):
+    # the weight is checked first: past both caps it is still a usage error
+    for lam in ("5/3", "1", "0"):
+        code, out, err = run(capsys, "sample", "--lambda", lam, "--depth", "9000")
+        assert (code, out) == (1, ""), lam
+        assert err.startswith("usage error: rational weight must lie in (0, 1)"), lam
 
 
 def test_env_cap_override(capsys, monkeypatch):

@@ -3,7 +3,7 @@
 import random
 import sys
 from contextlib import contextmanager
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
 
@@ -16,7 +16,7 @@ from dtu.classify import c734_word, growth_rate
 from dtu.encode import (decimal_str, fraction_str, golden_str, parse_fraction,
                         parse_golden, parse_seq, parse_surd, seq_str, surd_str)
 from dtu.errors import InputError
-from dtu.geval import LambdaKind, g_mediant
+from dtu.geval import LambdaKind, g_mediant, sample_farey
 from dtu.golden import GoldenScalar
 from dtu.surd import QuadraticSurd
 
@@ -194,6 +194,19 @@ def _significant_digits(text: str) -> int:
     return len(text.split("E")[0].lstrip("-").replace(".", "").lstrip("0"))
 
 
+def _surd_cases() -> list:
+    pell = [(1, 1)]  # p/q -> sqrt2, p - q sqrt2 = (1 - sqrt2)^n -> 0
+    while len(pell) < 60:
+        p, q = pell[-1]
+        pell.append((p + 2 * q, p + q))
+    return [QuadraticSurd(15, 4, 1, 14), QuadraticSurd(-14, 4, 7, 14),
+            QuadraticSurd(3, -1, 2, 7 * 10 ** 40),
+            QuadraticSurd(pell[-1][0], -pell[-1][1], 1, 2),
+            QuadraticSurd(-pell[-1][0], pell[-1][1], 3, 2),
+            QuadraticSurd.from_golden(GoldenScalar.phi_power(-301)),
+            growth_rate(c734_word(2, 7)).value]
+
+
 def test_decimal_is_the_correctly_rounded_value():
     cases = []
     # the rows of sample_farey(lam, 200) with x <= 1/140 or x >= 139/140,
@@ -203,17 +216,7 @@ def test_decimal_is_the_correctly_rounded_value():
     for lam in LambdaKind:
         cases += [g_mediant(lam, x) for x in edge]
     cases += [GoldenScalar.phi_power(k) for k in range(-400, 401, 7)]
-    pell = [(1, 1)]  # p/q -> sqrt2, p - q sqrt2 = (1 - sqrt2)^n -> 0
-    while len(pell) < 60:
-        p, q = pell[-1]
-        pell.append((p + 2 * q, p + q))
-    surds = [QuadraticSurd(15, 4, 1, 14), QuadraticSurd(-14, 4, 7, 14),
-             QuadraticSurd(3, -1, 2, 7 * 10 ** 40),
-             QuadraticSurd(pell[-1][0], -pell[-1][1], 1, 2),
-             QuadraticSurd(-pell[-1][0], pell[-1][1], 3, 2),
-             QuadraticSurd.from_golden(GoldenScalar.phi_power(-301)),
-             growth_rate(c734_word(2, 7)).value]
-    for x in cases + surds:
+    for x in cases + _surd_cases():
         out = decimal_str(x)
         assert out == _reference(x), x
         assert _significant_digits(out) == 30 or x == 0, (x, out)
@@ -238,6 +241,42 @@ def test_decimal_below_2_to_the_minus_50_on_int_coefficients():
         assert decimal_str(x) == _reference(x), x
     assert decimal_str(GoldenScalar.phi_power(-120)) == \
         "8.34609204456396367080443149819E-26"
+
+
+def _normalised_midpoint_decimal(value) -> str:
+    """decimal_str below _BIG_BITS as it was with Fraction midpoints: the
+    normalised (lo + hi)/2 of bounds(200), or of the enclosure sized by
+    _abs_floor when the midpoint's bit lengths differ by -50 or less."""
+    if isinstance(value, (GoldenScalar, QuadraticSurd)):
+        lo, hi = value.bounds(200)
+        approx = (lo + hi) / 2
+        if lo != hi and (not approx or encode._exponent(approx) <= -50):
+            lo, hi = value.bounds(150 - encode._exponent(encode._abs_floor(value)))
+            approx = (lo + hi) / 2
+    else:
+        approx = Fraction(value)
+    with localcontext() as ctx:
+        ctx.prec = 30
+        dec = Decimal(approx.numerator) / Decimal(approx.denominator)
+        if dec == 0:
+            return "0." + "0" * 29
+        return str(dec.quantize(Decimal(1).scaleb(dec.adjusted() - 29)))
+
+
+def test_decimal_from_unreduced_midpoints_matches_normalised_ones():
+    # +-phi^k for k = -70..-78 straddle |x| = 2^-50, where decimal_str
+    # switches enclosures (phi^-72 is about 2^-49.97)
+    cases = [s * GoldenScalar.phi_power(k) for k in range(-78, -69) for s in (1, -1)]
+    rng = random.Random(41)
+    for lam in (LambdaKind.PHI_INV, LambdaKind.TAU):
+        rows = sample_farey(lam, 200)
+        cases += [g for _, g in rng.sample(rows, 500)] + [rows[0][1], rows[-1][1]]
+    cases += _surd_cases()
+    cases += [Fraction(0), Fraction(-7, 3), Fraction(10 ** 40 + 1, 3 ** 90), 5]
+    for x in cases:
+        assert decimal_str(x) == _normalised_midpoint_decimal(x), x
+    assert decimal_str(GoldenScalar.phi_power(-72)) == \
+        _reference(GoldenScalar.phi_power(-72))
 
 
 def test_decimal_of_big_coefficients_is_the_correctly_rounded_value():

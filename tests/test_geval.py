@@ -11,8 +11,9 @@ import pytest
 from dtu import cf
 from dtu.cf import PeriodicCF
 from dtu.errors import CapExceededError
-from dtu.geval import (CertifiedInterval, LambdaKind, g_finite_series,
-                       g_interval, g_mediant, question_mark, sample_farey)
+from dtu.geval import (SAMPLE_WEIGHTED_DEPTH_MAX, CertifiedInterval, LambdaKind,
+                       check_sample_cost, g_finite_series, g_interval,
+                       g_mediant, question_mark, sample_farey)
 from dtu.golden import GoldenScalar
 
 
@@ -43,14 +44,23 @@ def test_series_examples():
         g_finite_series(LambdaKind.TAU, ())
 
 
-WEIGHTS = [LambdaKind.HALF, LambdaKind.PHI_INV, LambdaKind.TAU, Fraction(1, 3)]
+# 3/7 and 5/8: the integer walk of sample_farey divides exactly by b = 7, 8
+WEIGHTS = [LambdaKind.HALF, LambdaKind.PHI_INV, LambdaKind.TAU, Fraction(1, 3),
+           Fraction(3, 7), Fraction(5, 8)]
 
 
 @pytest.mark.parametrize("lam", WEIGHTS)
 def test_mediant_jumps_match_stepwise_farey_table(lam):
     # sample_farey applies the recursion one mediant at a time
+    golden = lam in (LambdaKind.PHI_INV, LambdaKind.TAU)
     for x, g in sample_farey(lam, 64):
         assert g_mediant(lam, x) == g, (lam, x)
+        assert type(x) is Fraction, (lam, x)
+        if golden:
+            assert type(g) is GoldenScalar, (lam, x)
+            assert type(g.a) is int and type(g.b) is int, (lam, x)
+        else:
+            assert type(g) is Fraction, (lam, x)
 
 
 @pytest.mark.parametrize("lam", WEIGHTS)
@@ -206,3 +216,21 @@ def test_sample_farey_examples_and_cap():
         assert g == GoldenScalar(1) - table3[1 - x]
     with pytest.raises(CapExceededError, match="depth 10 exceeds cap 5"):
         sample_farey(LambdaKind.HALF, 10, depth_cap=5)
+
+
+def test_sample_cost_counts_the_depth_once_per_bit_of_q():
+    # every named weight and every q < 2^8 passes up to the default depth cap
+    for lam in [*LambdaKind, Fraction(1, 2), Fraction(1, 255), Fraction(254, 255)]:
+        check_sample_cost(lam, 512)
+    assert SAMPLE_WEIGHTED_DEPTH_MAX == 8 * 512
+    check_sample_cost(Fraction(1, 1000000007), 136)  # 30 bits: 4,080
+    for lam, depth in [(Fraction(1, 256), 512), (Fraction(1, 1000000007), 137),
+                       (Fraction(1, 10 ** 16 + 1), 256)]:
+        with pytest.raises(CapExceededError, match="passes the cap 4096"):
+            check_sample_cost(lam, depth)
+    # a weight outside (0, 1) is sample_farey's to reject; the library is uncapped
+    check_sample_cost(Fraction(3, 2), 10 ** 6)
+    lam = Fraction(1, 2 ** 4000)
+    with pytest.raises(CapExceededError):
+        check_sample_cost(lam, 2)
+    assert sample_farey(lam, 2)[1] == (Fraction(1, 2), lam)
