@@ -282,15 +282,15 @@ def sample_farey(lam: Lambda, depth: int,
     if depth > depth_cap:
         raise CapExceededError(f"depth {depth} exceeds cap {depth_cap}")
     if isinstance(lam_v, GoldenScalar):
-        b, row = 1, GoldenScalar
+        b, scale, row = 1, 1, GoldenScalar
         la, lb, ca, cb = lam_v.a, lam_v.b, com_v.a, com_v.b
     else:
         b = lam_v.denominator
+        scale = b ** depth
         la, lb, ca, cb = lam_v.numerator, 0, b - lam_v.numerator, 0
 
         def row(x, _):
             return Fraction(x, scale)
-    scale = b ** depth
     # in-order walk of the mediant tree restricted to denominators <= depth:
     # go left from (l, r) while the mediant fits, keeping each mediant with
     # its value and its right end; a popped mediant is the next left end.

@@ -31,7 +31,9 @@ def _sign(u, v, d: int) -> int:
 
 
 # (d, K, isqrt(d 4^K)) of the last root _sqrt_floor took, K the largest
-# asked for that d since
+# asked for that d since.  Each tuple is right on its own, so a thread that
+# reads an older one, or whose store another overwrites, still gets exact
+# roots: sharing it costs at most a recomputation, never a wrong end.
 _root = (0, -1, 0)
 
 
