@@ -12,7 +12,6 @@ from dtu import golden
 from dtu.geval import LambdaKind, g_finite_series, g_mediant, sample_farey
 from dtu.golden import (GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenScalar,
                         bits_for_width)
-from dtu.surd import QuadraticSurd
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 goldens = st.builds(GoldenScalar, fractions, fractions)
@@ -247,7 +246,8 @@ def test_cached_square_root_gives_the_ends_of_a_fresh_isqrt(monkeypatch):
     # bounds shifts one cached floor(sqrt(d) 2^K) down for every k <= K
     monkeypatch.setattr(golden, "_root", (0, -1, 0))
     g = GoldenScalar.phi_power(-40) * 7
-    pad = abs(g.b).bit_length() - 2 + 2  # k - bits: the size of b/2, plus 2
+    # k - bits: the size of b/2, |b| less 2 bits, plus 2
+    pad = abs(g.b).bit_length()
     largest = -1
     # k rises, falls, rises past the cached K, and falls after the cache grew
     for bits in (64, 300, 10, 1000, 0, 300, 1001, 64):
@@ -255,24 +255,13 @@ def test_cached_square_root_gives_the_ends_of_a_fresh_isqrt(monkeypatch):
         largest = max(largest, bits + pad)
         assert golden._root[:2] == (5, largest), bits
     # another d takes the cache over, and d = 5 takes it back afresh
-    surd = QuadraticSurd(3, -2, 5, 7)
     for bits in (500, 20, 600, 20):
-        assert surd.bounds(bits) == _surd_bounds_fresh(surd, bits), bits
-        assert golden._root[0] == 7
+        assert golden._sqrt_floor(7, bits) == isqrt(7 << (2 * bits)), bits
+        assert golden._root[:2] == (7, bits), bits
         assert g.bounds(bits) == _fraction_bounds(g, bits), bits
         assert golden._root[:2] == (5, bits + pad), bits
     for k in (5, 3000, 1, 2999, 3001, 0):
         assert golden._sqrt_floor(7, k) == isqrt(7 << (2 * k)), k
-
-
-def _surd_bounds_fresh(x: QuadraticSurd, bits: int) -> tuple[Fraction, Fraction]:
-    """QuadraticSurd.bounds by a fresh isqrt, with the size of q/r it uses."""
-    size = abs(x.q).bit_length() - x.r.bit_length()
-    k = bits + max(0, size) + 2
-    s = isqrt(x.d << (2 * k))
-    lo = Fraction((x.p << k) + x.q * s, x.r << k)
-    hi = Fraction((x.p << k) + x.q * (s + 1), x.r << k)
-    return (lo, hi) if x.q > 0 else (hi, lo)
 
 
 def _is_canonical(x) -> bool:
