@@ -508,6 +508,34 @@ def test_output_file_holds_the_printed_document(tmp_path, capsys, argv):
     assert path.read_text() == printed
 
 
+@pytest.mark.parametrize("lam", ["phi-inv", "3/7"])
+def test_sample_output_file_holds_the_printed_bytes(tmp_path, capsys, lam):
+    argv = ["sample", "--lambda", lam, "--depth", "120"]
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0 and printed.count("\n") == 4388
+    path = tmp_path / "table.csv"
+    code, out, _ = run(capsys, *argv, "--output", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("argv, cap, exit_code", [
+    (["--lambda", "half", "--depth", "64"], "4", 2),
+    (["--lambda", f"1/{2 ** 1023}", "--depth", "5"], None, 2),
+    (["--lambda", "5/3", "--depth", "10"], None, 1),
+    (["--lambda", "nope", "--depth", "10"], None, 1),
+    (["--lambda", "tau", "--depth", "0"], None, 1),
+], ids=["depth-cap", "weighted-cap", "weight-outside-0-1", "bad-weight", "depth-0"])
+def test_failed_sample_leaves_no_file(tmp_path, capsys, monkeypatch, argv, cap,
+                                      exit_code):
+    if cap:
+        monkeypatch.setenv("DTU_FAREY_DEPTH_CAP", cap)
+    path = tmp_path / "table.csv"
+    code, out, err = run(capsys, "sample", *argv, "--output", str(path))
+    assert (code, out) == (exit_code, "") and err
+    assert not path.exists()
+
+
 def _python(*args):
     """Run a fresh interpreter that imports this checkout's dtu."""
     src = str(Path(dtu.__file__).resolve().parents[1])

@@ -165,7 +165,11 @@ def _reference_decimal(p: int, q: int, r: int, d: int, k: int = 2000) -> str:
     """(p + q sqrt(d))/r rounded half-even to 30 significant digits, from a
     k-bit integer square root: the rendering decimal_str must give."""
     s = isqrt(q * q * d << (2 * k))  # |q| sqrt(d) 2^k, floored
-    x = Fraction((p << k) + (s if q >= 0 else -s), r << k)
+    return _rounded(Fraction((p << k) + (s if q >= 0 else -s), r << k))
+
+
+def _rounded(x: Fraction) -> str:
+    """The rational x rounded half-even to 30 significant digits, exactly."""
     if x == 0:
         return "0." + "0" * 29
     mag = abs(x)
@@ -224,6 +228,53 @@ def test_decimal_is_the_correctly_rounded_value():
         "2.01237042016878006617406661025E-63"
     assert decimal_str(g_mediant(LambdaKind.HALF, Fraction(101, 102))) == \
         "1.00000000000000000000000000000"
+
+
+def _coefficient_bits(x) -> int:
+    """Bits of the largest of the integers p, q, r, d of x = (p + q sqrt(d))/r."""
+    parts = (x.p, x.q, x.r, x.d) if isinstance(x, QuadraticSurd) else x.surd_parts()
+    return max(p.bit_length() for p in parts)
+
+
+def _midpoint_cases() -> list:
+    """Golden values with Fraction coefficients over 2, 3, 7 and 10^k; surds
+    whose q/r has fewer bits than 1 (size < 0) or q < 0; and values whose
+    largest coefficient has exactly _BIG_BITS and _BIG_BITS + 1 bits."""
+    rng = random.Random(22)
+    dens = [2, 3, 7] + [10 ** k for k in (1, 5, 20, 40)]
+    cases = []
+    for _ in range(300):
+        da, db = rng.choice(dens), rng.choice(dens)
+        a = Fraction(rng.randint(-da * 10 ** 6, da * 10 ** 6), da)
+        b = Fraction(rng.choice([-1, 1]) * rng.randint(db, db * 10 ** 6), db)
+        cases += [GoldenScalar(a, b),
+                  GoldenScalar.phi_power(rng.randint(-60, 60)) * b]
+    for _ in range(300):
+        r = rng.randint(1, 10 ** 40)
+        q = rng.choice([-1, 1]) * rng.randint(1, r)
+        cases.append(QuadraticSurd(rng.randint(-r, r), q, r, rng.randint(2, 10 ** 6)))
+    for n in (encode._BIG_BITS, encode._BIG_BITS + 1):
+        cases += [QuadraticSurd((1 << n - 1) + 12345, -(1 << n - 3) - 7,
+                                (1 << n - 2) + 3, 2),
+                  GoldenScalar(Fraction(1, 2), Fraction((1 << n - 1) + 1, 2)),
+                  GoldenScalar(Fraction(-(1 << n - 4) - (n - 4095), 3),
+                               Fraction((1 << n - 4) + 3, 7))]
+    return cases
+
+
+def test_decimal_is_the_rounded_midpoint_of_bounds_200():
+    # away from 0 the digits are those of (lo + hi)/2 for bounds(200)
+    cases = _midpoint_cases()
+    bits = [_coefficient_bits(x) for x in cases]
+    assert bits.count(encode._BIG_BITS) == 3 and bits.count(encode._BIG_BITS + 1) == 3
+    assert any(isinstance(x, QuadraticSurd) and x.q < 0
+               and x.q.bit_length() < x.r.bit_length() for x in cases)
+    with unlimited_int_str():
+        for x in cases:
+            lo, hi = x.bounds(200)
+            mid = (lo + hi) / 2
+            assert abs(mid) > Fraction(1, 2 ** 50), x
+            assert decimal_str(x) == _rounded(mid), x
 
 
 def test_decimal_below_2_to_the_minus_50_on_int_coefficients():
