@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,10 +105,13 @@ def _cmd_sample(args) -> int:
     cap = _env_cap("FAREY_DEPTH_CAP", DEFAULT_FAREY_DEPTH_CAP)
     check_sample_cost(lam, args.depth)
     table = sample_farey(lam, args.depth, depth_cap=cap)
-    lines = ["x_num,x_den,g_exact,g_decimal"]
-    for x, g in table:
-        lines.append(f"{x.numerator},{x.denominator},{exact_str(g)},{decimal_str(g)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    # the file opens only now, so a rejected sample leaves none; rows are
+    # written as they are rendered, so the CSV is never held whole
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+        write = out.write
+        write("x_num,x_den,g_exact,g_decimal\n")
+        for x, g in table:
+            write(f"{x.numerator},{x.denominator},{exact_str(g)},{decimal_str(g)}\n")
     return EXIT_OK
 
 

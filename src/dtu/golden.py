@@ -50,24 +50,33 @@ def _sqrt_floor(d: int, k: int) -> int:
     return root
 
 
-def _enclosure(p: int, q: int, r: int, d: int, bits: int,
-               size: int) -> tuple[Fraction, Fraction]:
-    """[lo, hi] around (p + q sqrt(d))/r, r > 0, narrower than 2^-(bits+1)
-    when |q/r| < 2^(size+1).
+def _enclosure_ends(p: int, q: int, r: int, d: int, size: int,
+                    bits: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with lo/den <= (p + q sqrt(d))/r <= hi/den, r > 0, and
+    (hi - lo)/den < 2^-(bits+1) when |q/r| < 2^(size+1): the integer core of
+    both classes' bounds, whose ends it leaves unreduced.
 
     s = isqrt(d 4^k) gives s/2^k <= sqrt(d) < (s+1)/2^k, with k padding
-    bits by 2 and by the size of q/r; the ends are (p 2^k + q s) and
-    (p 2^k + q (s+1)) over r 2^k, swapped when q < 0, one Fraction each.
+    bits by 2 and by size; the ends are p 2^k + q s and p 2^k + q (s+1)
+    over den = r 2^k, swapped when q < 0.  A rational value (q = 0) is
+    (p, p, r).  Each class reads its (p, q, r, d, size) from its own
+    _enclosure_parts, so bounds and encode.decimal_str size k alike.
     """
     if not q:
-        x = Fraction(p, r)
-        return x, x
+        return p, p, r
     k = bits + max(0, size) + 2
     s = _sqrt_floor(d, k)
-    base, den = p << k, r << k
-    lo, hi = base + q * s, base + q * (s + 1)
+    lo = (p << k) + q * s
+    hi = lo + q
     if q < 0:
         lo, hi = hi, lo
+    return lo, hi, r << k
+
+
+def _enclosure(p: int, q: int, r: int, d: int, size: int,
+               bits: int) -> tuple[Fraction, Fraction]:
+    """The ends of _enclosure_ends as Fractions, one per end."""
+    lo, hi, den = _enclosure_ends(p, q, r, d, size, bits)
     return Fraction(lo, den), Fraction(hi, den)
 
 
@@ -214,19 +223,26 @@ class GoldenScalar:
     def surd_parts(self) -> tuple[int, int, int]:
         """Integers (p, q, r) with a + b*phi = (p + q sqrt5)/r and r > 0:
         (2a + b)/2 + (b/2) sqrt5 over the least common denominator."""
-        u, v = 2 * self.a + self.b, self.b
+        a, b = self.a, self.b
+        if type(a) is int and type(b) is int:
+            return 2 * a + b, b, 2
+        u, v = 2 * a + b, b
         den = lcm(u.denominator, v.denominator)
         return (u.numerator * (den // u.denominator),
                 v.numerator * (den // v.denominator), 2 * den)
 
-    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1):
-        _enclosure of surd_parts, sized by b/2 in lowest terms (reducing
-        n/(2d) divides both by 2 or by nothing, which leaves their difference
-        in bits unchanged)."""
+    def _enclosure_parts(self) -> tuple[int, int, int, int, int]:
+        """(p, q, r, d, size) of _enclosure_ends: surd_parts, d = 5, and
+        size from b/2 in lowest terms (reducing n/(2d) divides both by 2 or
+        by nothing, which leaves their difference in bits unchanged)."""
         b = self.b
         size = abs(b.numerator).bit_length() - (2 * b.denominator).bit_length()
-        return _enclosure(*self.surd_parts(), 5, bits, size)
+        return (*self.surd_parts(), 5, size)
+
+    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
+        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1):
+        the ends of _enclosure_ends as Fractions."""
+        return _enclosure(*self._enclosure_parts(), bits)
 
     def __repr__(self):
         return f"GoldenScalar({self.a!r}, {self.b!r})"

@@ -165,11 +165,15 @@ class QuadraticSurd:
 
     # -- exact comparison ----------------------------------------------------
 
+    def _enclosure_parts(self) -> tuple[int, int, int, int, int]:
+        """(p, q, r, d, size) of golden._enclosure_ends, sized by q/r."""
+        return (self.p, self.q, self.r, self.d,
+                abs(self.q).bit_length() - self.r.bit_length())
+
     def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1),
-        by golden._enclosure, sized by q/r."""
-        size = abs(self.q).bit_length() - self.r.bit_length()
-        return _enclosure(self.p, self.q, self.r, self.d, bits, size)
+        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1):
+        the ends of golden._enclosure_ends as Fractions."""
+        return _enclosure(*self._enclosure_parts(), bits)
 
     def algebraically_equal(self, other) -> bool:
         """Exact equality by coefficient comparison, without interval work."""

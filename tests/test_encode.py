@@ -345,7 +345,7 @@ def test_decimal_of_big_coefficients_is_the_correctly_rounded_value():
               growth_rate(c734_word(800, 2513)).value]
     with unlimited_int_str():
         for x in cases:
-            assert encode._coefficient_bits(x) > encode._BIG_BITS
+            assert _coefficient_bits(x) > encode._BIG_BITS
             out = decimal_str(x)
             assert out == _reference(x, 24000), x
             assert _significant_digits(out) == 30

@@ -12,6 +12,7 @@ from dtu import golden
 from dtu.geval import LambdaKind, g_finite_series, g_mediant, sample_farey
 from dtu.golden import (GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenScalar,
                         bits_for_width)
+from dtu.surd import QuadraticSurd
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 goldens = st.builds(GoldenScalar, fractions, fractions)
@@ -240,6 +241,27 @@ def test_sign_and_bounds_equal_the_fraction_formulas():
             lo, hi = g.bounds(bits)
             assert (lo, hi) == _fraction_bounds(g, bits), (g, bits)
             assert type(lo) is Fraction and type(hi) is Fraction, (g, bits)
+
+
+def test_integer_enclosure_ends_are_the_ends_of_bounds():
+    # bounds and encode.decimal_str read one integer core: its unreduced
+    # ends over den, for each class's parts, are the Fractions bounds gives
+    rng = random.Random(22)
+    values = list(_oracle_values(rng, 2000))
+    for _ in range(1000):
+        r = rng.randint(1, 10 ** rng.randint(1, 40))
+        q = rng.choice([-1, 0, 1]) * rng.randint(1, 10 ** rng.randint(1, 40))
+        values.append(QuadraticSurd(rng.randint(-10 ** 30, 10 ** 30), q, r,
+                                    rng.randint(2, 10 ** 6)))
+    assert {type(x) for x in values} == {GoldenScalar, QuadraticSurd}
+    for x in values:
+        parts = x._enclosure_parts()
+        if isinstance(x, GoldenScalar):
+            assert parts[:4] == (*x.surd_parts(), 5), x
+        for bits in (0, 5, 64, 200, 400):
+            lo, hi, den = golden._enclosure_ends(*parts, bits)
+            assert den > 0 and lo <= hi, (x, bits)
+            assert (Fraction(lo, den), Fraction(hi, den)) == x.bounds(bits), (x, bits)
 
 
 def test_cached_square_root_gives_the_ends_of_a_fresh_isqrt(monkeypatch):
