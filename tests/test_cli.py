@@ -442,8 +442,30 @@ def test_deterministic_outputs(capsys):
     # decimal comes from _big_decimal_str
     (["classify", "--period", "c734_word(400, 1223)"],
      "a35ac09625ec98a094d8e23c38e30d35616b347ab36048800f3e38305ff773bc"),
+    # odd remainders whose ordinary blocks the goldens (period 1) miss,
+    # recorded while every base list was scored: 149 blocks of period 149
+    # (k = 50), 99 blocks of period 33 (k = 51), and 255 blocks of
+    # period 255 (k = 16) with per-pair sums near 1,953
+    (["extremal", "--n", "300", "--s", "2651", "--mode", "max"],
+     "a8f74db8b659d6336e5dca5f0e45ad031dd9039df95677e992aeaada55c8c665"),
+    (["extremal", "--n", "300", "--s", "2651", "--mode", "max",
+      "--orientation", "tau"],
+     "983320f80f6c7b34f7b1006339690c2abcfbf9b13e716f94b68339cfcbfcb45e"),
+    (["extremal", "--n", "200", "--s", "1803", "--mode", "max"],
+     "3b19f043315d637c0b77c29bb9cac901c88653e98f6e1309af11aa8aa9a3a46c"),
+    (["extremal", "--n", "200", "--s", "1803", "--mode", "max",
+      "--orientation", "tau"],
+     "a86da6c4f92700d136aea03771c059cd8a6b12b1fe3f1cecf1421004ca23033f"),
+    (["extremal", "--n", "512", "--s", "500001", "--mode", "max"],
+     "9fdd056cc4ab92a1e183c9be8fd5eb1a805619008d9be0d384ef0edae9722919"),
+    (["extremal", "--n", "512", "--s", "500001", "--mode", "max",
+      "--orientation", "tau"],
+     "a00aacee0539ceac3712f1887dd148cc68ec82876383d058afcd629ae881f615"),
 ], ids=["sample-half", "sample-phi-inv", "sample-tau", "sample-3-7",
-         "sample-5-8", "classify-c734"])
+         "sample-5-8", "classify-c734", "extremal-max-300-2651-phi",
+         "extremal-max-300-2651-tau", "extremal-max-200-1803-phi",
+         "extremal-max-200-1803-tau", "extremal-max-512-500001-phi",
+         "extremal-max-512-500001-tau"])
 def test_large_outputs_are_pinned_by_hash(capsys, argv, digest):
     if argv[-1].startswith("c734_word"):
         word = c734_word(400, 1223)

@@ -418,6 +418,34 @@ def test_balanced_max_matches_all_layouts_oracle():
     assert checked == 1800
 
 
+def scored_layouts_max(inst):
+    """balanced_max from every rotation of every base list, each list
+    scored on its own by `_rotation_continuants`."""
+    scored = [(value, lst[shift:] + lst[:shift]) for lst in _base_lists(inst)
+              for shift, value in enumerate(_rotation_continuants(lst))]
+    top = max(value for value, _ in scored)
+    best = sum(min(lst for value, lst in scored if value == top), ())
+    return best if inst.orientation is PHI else cf.reverse(best)
+
+
+def test_balanced_max_matches_every_layout_at_odd_remainders():
+    # lengths 40-160, past the exhaustive oracle above; only odd
+    # remainders, whose auxiliary block may take any place
+    rng = random.Random(97)
+    checked = 0
+    while checked < 24:
+        n = 2 * rng.randint(20, 80)
+        inst = ExtremalInstance(n, rng.randint(4 * n, 10 * n + 11),
+                                rng.choice((PHI, TAU)))
+        try:
+            if len(_base_lists(inst)) == 1:
+                continue
+        except InfeasibleError:
+            continue
+        assert balanced_max(inst) == scored_layouts_max(inst), inst
+        checked += 1
+
+
 def test_balanced_max_scores_layouts_without_continuants(monkeypatch):
     # at (400, 3401) there are 200 x 200 layouts; scoring each by a
     # continuant of its word would cost O(n) apiece
