@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from . import cf
@@ -435,37 +435,14 @@ def reduce_m3(seq: Sequence[int], o: Orientation) -> M3Result:
 # -- balanced block maximum -----------------------------------------------------
 
 
-def _rotation_continuants(blocks: list) -> list:
-    """Continuant of every rotation blocks[s:] + blocks[:s], s = 0..L-1.
+def _block_word(inst: ExtremalInstance) -> tuple:
+    """The blocks `balanced_max` lays out: the mechanical arrangement of the
+    ordinary blocks, the auxiliary block that absorbs an odd remainder (None
+    for an even one), and the period of the arrangement as a cyclic word.
 
-    A block (l, h) has the quotient matrix B = [[lh+1, l], [h, 1]], and
-    rotation s has the matrix B_s...B_{L-1} B_0...B_{s-1}, so its continuant
-    is the first row of the suffix product times the first column of the
-    prefix product.  A backward pass keeps every suffix row and a forward pass
-    builds the prefix products: O(L) block steps in all.
-    """
-    rows = []
-    s00, s01, s10, s11 = 1, 0, 0, 1
-    for l, h in reversed(blocks):
-        lh = l * h + 1
-        s00, s01, s10, s11 = (lh * s00 + l * s10, lh * s01 + l * s11,
-                              h * s00 + s10, h * s01 + s11)
-        rows.append((s00, s01))
-    rows.reverse()
-    out = []
-    p00, p01, p10, p11 = 1, 0, 0, 1
-    for (r0, r1), (l, h) in zip(rows, blocks):
-        out.append(r0 * p00 + r1 * p10)
-        lh = l * h + 1
-        p00, p01, p10, p11 = (p00 * lh + p01 * h, p00 * l + p01,
-                              p10 * lh + p11 * h, p10 * l + p11)
-    return out
-
-
-def _base_lists(inst: ExtremalInstance) -> list:
-    """The block lists whose rotations `balanced_max` compares: the
-    mechanical arrangement of the block multiset, or, with an auxiliary
-    block, that arrangement with the auxiliary block in each possible place."""
+    The arrangement of k rare blocks among q is the mechanical word of
+    density k/q, which is its primitive word of length q/gcd(k, q) repeated;
+    with no ordinary block (one pair, odd remainder) the period is 1."""
     if inst.per_pair < 8:
         raise ValueError("balanced construction requires per-pair sums >= 8")
     m = inst.pairs
@@ -490,10 +467,72 @@ def _base_lists(inst: ExtremalInstance) -> list:
         blocks = _mechanical_word(k, ordinary, (b0,), (b1,))
     else:
         blocks = _mechanical_word(ordinary - k, ordinary, (b1,), (b0,))
+    return blocks, special, ordinary // gcd(k, ordinary) if ordinary else 1
 
+
+def _layout_continuants(blocks: tuple, special: Optional[tuple],
+                        period: int) -> list:
+    """Continuants of the distinct layouts of `blocks`, whose arrangement
+    has the cyclic period `period`.
+
+    Without an auxiliary block the layouts are the rotations
+    blocks[t:] + blocks[:t], and rotations t and t + period are one word:
+    the result is [values], with the continuant of rotation t at values[t],
+    t < period.  With one, base list i is blocks[:i] + (special,) + blocks[i:],
+    for i = 0..L (L = len(blocks)), and its layouts are its rotations.  Lists
+    i and i + period are one cyclic word, and list L is a rotation of list 0,
+    so the result holds one entry per i < period: the continuants of the
+    rotations t = 0..L of list i, in order of t.
+
+    A block (l, h) has the quotient matrix B = [[lh+1, l], [h, 1]], and a
+    layout's continuant is the top-left entry of the product of its
+    blocks' matrices.  With the prefix products PF[j] = B_0...B_{j-1} and
+    suffix products SF[j] = B_j...B_{L-1}, built once, rotation t of list i
+    with auxiliary matrix X has the product B_t...B_{i-1} X SF[i] PF[t] for
+    t <= i, and SF[t-1] PF[i] X B_i...B_{t-2} for t > i.  So each list takes
+    one backward pass from X SF[i] and one forward pass from PF[i] X, L block
+    steps in all, and one multiply-add of a first row by a first column per
+    rotation.
+    """
+    steps = [(l * h + 1, l, h) for l, h in blocks]
+    prefix = [(1, 0, 0, 1)]
+    for lh, l, h in steps:
+        a, b, c, d = prefix[-1]
+        prefix.append((a * lh + b * h, a * l + b, c * lh + d * h, c * l + d))
+    suffix = [(1, 0, 0, 1)]
+    for lh, l, h in reversed(steps):
+        a, b, c, d = suffix[-1]
+        suffix.append((lh * a + l * c, lh * b + l * d, h * a + c, h * b + d))
+    suffix.reverse()
     if special is None:
-        return [blocks]
-    return [blocks[:i] + (special,) + blocks[i:] for i in range(len(blocks) + 1)]
+        return [[s[0] * p[0] + s[1] * p[2]
+                 for s, p in zip(suffix[:period], prefix)]]
+    xl, xh = special
+    xlh = xl * xh + 1
+    out = []
+    for i in range(period):
+        values = []
+        # t = i down to 0: the first row of B_t...B_{i-1} X SF[i]
+        a, b, c, d = suffix[i]
+        a, b, c, d = xlh * a + xl * c, xlh * b + xl * d, xh * a + c, xh * b + d
+        p = prefix[i]
+        values.append(a * p[0] + b * p[2])
+        for t in range(i - 1, -1, -1):
+            lh, l, h = steps[t]
+            a, b, c, d = lh * a + l * c, lh * b + l * d, h * a + c, h * b + d
+            p = prefix[t]
+            values.append(a * p[0] + b * p[2])
+        values.reverse()
+        # t = j + 1 for j = i..L-1: the first column of PF[i] X B_i...B_{j-1}
+        a, b, c, d = prefix[i]
+        a, b, c, d = a * xlh + b * xh, a * xl + b, c * xlh + d * xh, c * xl + d
+        for j in range(i, len(steps)):
+            s = suffix[j]
+            values.append(s[0] * a + s[1] * c)
+            lh, l, h = steps[j]
+            a, b, c, d = a * lh + b * h, a * l + b, c * lh + d * h, c * l + d
+        out.append(values)
+    return out
 
 
 def balanced_max(inst: ExtremalInstance) -> Quotients:
@@ -504,19 +543,27 @@ def balanced_max(inst: ExtremalInstance) -> Quotients:
     remainder in the high case, where block sums step by 2).  Blocks are laid
     out as a mechanical word and the exact best rotation (and auxiliary
     placement) is selected by continuant comparison, ties going to the
-    lexicographically smallest word.  Every rotation is scored from
-    block-matrix prefix/suffix products, at O(m) block steps per base list:
-    one list for an even remainder, m for an odd one (O(m^2) overall).
+    lexicographically smallest word.  Each distinct layout is scored once,
+    from block-matrix prefix/suffix products shared by all of them: O(m)
+    block steps for an even remainder, and O(m) more per distinct auxiliary
+    placement for an odd one, of which there are m/gcd(k, m - 1) for k rare
+    blocks among the m - 1 ordinary ones.
     """
+    blocks, special, period = _block_word(inst)
     top, tied = 0, []
-    for lst in _base_lists(inst):
-        for shift, value in enumerate(_rotation_continuants(lst)):
+    for i, values in enumerate(_layout_continuants(blocks, special, period)):
+        for shift, value in enumerate(values):
             if value > top:
-                top, tied = value, [(lst, shift)]
+                top, tied = value, [(i, shift)]
             elif value == top:
-                tied.append((lst, shift))
+                tied.append((i, shift))
+
+    def layout(i, shift):
+        lst = blocks if special is None else blocks[:i] + (special,) + blocks[i:]
+        return lst[shift:] + lst[:shift]
+
     # blocks are pairs, so block lists compare as the words they flatten to
-    best = _assemble(min(lst[shift:] + lst[:shift] for lst, shift in tied))
+    best = _assemble(min(layout(i, shift) for i, shift in tied))
     if inst.orientation is not Orientation.PHI:
         best = best[::-1]
     return _checked(best, inst)

@@ -10,8 +10,8 @@ import pytest
 from dtu import cf
 from dtu.cf import Orientation
 from dtu.extremal import (CapExceededError, ExtremalInstance, InfeasibleError,
-                          M3Case, _base_lists, _contenders,
-                          _rotation_continuants, balanced_max, brute_extrema,
+                          M3Case, _block_word, _contenders,
+                          _layout_continuants, balanced_max, brute_extrema,
                           count_words, m3_parameters, max_construct,
                           min_construct, normalize_m4, reduce_m3)
 
@@ -391,10 +391,48 @@ def test_balanced_max_is_argmax_over_arrangements():
         assert cf.continuant(w) == best
 
 
+def base_lists(inst):
+    """Every block list whose rotations balanced_max compares: the ordinary
+    arrangement, or, with an auxiliary block, that arrangement with the
+    auxiliary block in each of its places, repeats included."""
+    blocks, special, _ = _block_word(inst)
+    if special is None:
+        return [blocks]
+    return [blocks[:i] + (special,) + blocks[i:] for i in range(len(blocks) + 1)]
+
+
+def rotation_continuants(blocks):
+    """Continuant of every rotation blocks[s:] + blocks[:s], s = 0..L-1, of
+    one block list on its own.
+
+    A block (l, h) has the quotient matrix B = [[lh+1, l], [h, 1]], and
+    rotation s has the matrix B_s...B_{L-1} B_0...B_{s-1}, so its continuant
+    is the first row of the suffix product times the first column of the
+    prefix product.  A backward pass keeps every suffix row and a forward pass
+    builds the prefix products: O(L) block steps in all.
+    """
+    rows = []
+    s00, s01, s10, s11 = 1, 0, 0, 1
+    for l, h in reversed(blocks):
+        lh = l * h + 1
+        s00, s01, s10, s11 = (lh * s00 + l * s10, lh * s01 + l * s11,
+                              h * s00 + s10, h * s01 + s11)
+        rows.append((s00, s01))
+    rows.reverse()
+    out = []
+    p00, p01, p10, p11 = 1, 0, 0, 1
+    for (r0, r1), (l, h) in zip(rows, blocks):
+        out.append(r0 * p00 + r1 * p10)
+        lh = l * h + 1
+        p00, p01, p10, p11 = (p00 * lh + p01 * h, p00 * l + p01,
+                              p10 * lh + p11 * h, p10 * l + p11)
+    return out
+
+
 def all_layouts_max(inst):
     """balanced_max by building every rotation of every base list as a word
     and scoring each with its own continuant."""
-    layouts = [lst[shift:] + lst[:shift] for lst in _base_lists(inst)
+    layouts = [lst[shift:] + lst[:shift] for lst in base_lists(inst)
                for shift in range(len(lst))]
     best = max((sum(lst, ()) for lst in layouts),
                key=lambda w: (cf.continuant(w), [-x for x in w]))
@@ -418,11 +456,44 @@ def test_balanced_max_matches_all_layouts_oracle():
     assert checked == 1800
 
 
+def test_layouts_repeat_with_the_period_of_the_ordinary_blocks():
+    # every instance with n <= 30 and an odd remainder, both orientations
+    # alike: lists i and i + period hold the same rotation words (so list
+    # L, a rotation of list 0, adds none), lists i < period are distinct
+    # cyclic words, and each is scored as the per-list oracle scores it
+    kinds = set()
+    for n in range(2, 31, 2):
+        for s in range(4 * n, 10 * n + 12):
+            inst = ExtremalInstance(n, s)
+            try:
+                blocks, special, period = _block_word(inst)
+            except InfeasibleError:
+                continue
+            if special is None:
+                assert _layout_continuants(blocks, None, period) == \
+                    [rotation_continuants(blocks)[:period]]
+                continue
+            lists = base_lists(inst)
+            size = len(blocks)
+            rare = size - blocks.count((special[0] - 1, special[1]))
+            kinds.add("one pair" if size == 0 else "k = 0" if rare == 0 else
+                      "k = ordinary" if rare == size else
+                      "gcd > 1" if math.gcd(rare, size) > 1 else "gcd = 1")
+            words = [sorted(lst[t:] + lst[:t] for t in range(size + 1))
+                     for lst in lists]
+            assert all(words[i] == words[i + period]
+                       for i in range(size + 1 - period)), inst
+            assert len({tuple(w) for w in words[:period]}) == period, inst
+            assert _layout_continuants(blocks, special, period) == \
+                [rotation_continuants(lst) for lst in lists[:period]], inst
+    assert kinds == {"one pair", "k = 0", "k = ordinary", "gcd > 1", "gcd = 1"}
+
+
 def scored_layouts_max(inst):
     """balanced_max from every rotation of every base list, each list
-    scored on its own by `_rotation_continuants`."""
-    scored = [(value, lst[shift:] + lst[:shift]) for lst in _base_lists(inst)
-              for shift, value in enumerate(_rotation_continuants(lst))]
+    scored on its own by `rotation_continuants`."""
+    scored = [(value, lst[shift:] + lst[:shift]) for lst in base_lists(inst)
+              for shift, value in enumerate(rotation_continuants(lst))]
     top = max(value for value, _ in scored)
     best = sum(min(lst for value, lst in scored if value == top), ())
     return best if inst.orientation is PHI else cf.reverse(best)
@@ -438,7 +509,7 @@ def test_balanced_max_matches_every_layout_at_odd_remainders():
         inst = ExtremalInstance(n, rng.randint(4 * n, 10 * n + 11),
                                 rng.choice((PHI, TAU)))
         try:
-            if len(_base_lists(inst)) == 1:
+            if len(base_lists(inst)) == 1:
                 continue
         except InfeasibleError:
             continue
@@ -450,7 +521,7 @@ def test_balanced_max_scores_layouts_without_continuants(monkeypatch):
     # at (400, 3401) there are 200 x 200 layouts; scoring each by a
     # continuant of its word would cost O(n) apiece
     inst = ExtremalInstance(400, 3401)
-    scores = [v for lst in _base_lists(inst) for v in _rotation_continuants(lst)]
+    scores = [v for lst in base_lists(inst) for v in rotation_continuants(lst)]
     calls = []
     for name in ("continuant", "_continuant"):
         real = getattr(cf, name)
