@@ -23,9 +23,10 @@ from .variation import VariationDirection, is_abs_increasing_12
 DEFAULT_BRUTE_CAP = 10_000_000
 DEFAULT_SUM_CAP = 1_000_000
 # The longest word that `dtu extremal --mode min|max` takes on: balanced_max
-# with an odd remainder scores m base lists of m rotations, O(m^3) in all,
-# and at n = 512 takes up to 1.2 s (per-pair sums up to 3,800), at n = 1,024
-# up to 11 s.
+# with an odd remainder scores up to m - 1 placements of m rotations, each by
+# two products of ints of O(m) digits, and at n = 512 takes up to about 0.8 s
+# (per-pair sums near the sum cap's 3,906, 255 placements), at n = 1,024
+# about 9 s.
 EXTREMAL_LENGTH_MAX = 2 ** 9
 
 
@@ -546,8 +547,8 @@ def balanced_max(inst: ExtremalInstance) -> Quotients:
     lexicographically smallest word.  Each distinct layout is scored once,
     from block-matrix prefix/suffix products shared by all of them: O(m)
     block steps for an even remainder, and O(m) more per distinct auxiliary
-    placement for an odd one, of which there are m/gcd(k, m - 1) for k rare
-    blocks among the m - 1 ordinary ones.
+    placement for an odd one, of which there are q/gcd(k, q) for k rare
+    blocks among the q = m - 1 ordinary ones.
     """
     blocks, special, period = _block_word(inst)
     top, tied = 0, []
