@@ -113,6 +113,9 @@ class GoldenScalar:
     def __setattr__(self, name, value):
         raise AttributeError("GoldenScalar is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GoldenScalar is immutable")
+
     # -- construction -----------------------------------------------------
 
     @classmethod

@@ -76,6 +76,9 @@ class QuadraticSurd:
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticSurd is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("QuadraticSurd is immutable")
+
     # -- construction -----------------------------------------------------
 
     @classmethod

@@ -3,7 +3,7 @@
 import random
 import sys
 from contextlib import contextmanager
-from decimal import Decimal, localcontext
+from decimal import ROUND_FLOOR, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import isqrt
 
@@ -328,6 +328,54 @@ def test_decimal_from_unreduced_midpoints_matches_normalised_ones():
         assert decimal_str(x) == _normalised_midpoint_decimal(x), x
     assert decimal_str(GoldenScalar.phi_power(-72)) == \
         _reference(GoldenScalar.phi_power(-72))
+
+
+def _layout_cases() -> list:
+    """Rationals at every switch of the str(Decimal) layout: +-(1 +- tiny) 10^k
+    for k = -40..40, with a tiny that rounds away, one that leaves 29 nines
+    and a 9, and a tie that rounds 0.99..95 up across the decade; values
+    from 10^30 up (E+), 0, 89, and 20,000 seeded random fractions."""
+    cases = [Fraction(0), Fraction(89), Fraction(-89), Fraction(10 ** 31 - 5, 10 ** 37),
+             Fraction(-(10 ** 31 - 5), 10 ** 37), Fraction(10 ** 30),
+             Fraction(10 ** 30 - 1), Fraction(10 ** 31 - 5, 10), Fraction(10 ** 60 + 7, 3)]
+    for k in range(-40, 41):
+        for tiny in (Fraction(1, 10 ** 35), Fraction(1, 10 ** 29), Fraction(5, 10 ** 31)):
+            for s in (1, -1):
+                cases += [s * (1 + tiny) * Fraction(10) ** k,
+                          s * (1 - tiny) * Fraction(10) ** k]
+    rng = random.Random(24)
+    for _ in range(20_000):
+        num = rng.randint(1, 10 ** rng.randint(1, 60)) * rng.choice((1, -1))
+        cases.append(Fraction(num, rng.randint(1, 10 ** rng.randint(1, 60))))
+    return cases
+
+
+def test_decimal_at_every_layout_switch_of_str_decimal():
+    cases = _layout_cases()
+    for x in cases:
+        assert decimal_str(x) == _normalised_midpoint_decimal(x), x
+    # 9.99..95e-7 (30 nines) is a tie that rounds up to 1e-6, printed plain
+    assert decimal_str(Fraction(10 ** 31 - 5, 10 ** 37)) == "0.00000" + "1" + "0" * 29
+    assert decimal_str(Fraction(10 ** 30)) == "1.00000000000000000000000000000E+30"
+    assert decimal_str(Fraction(10 ** 30 - 1)) == "9" * 30
+    assert decimal_str(Fraction(-1, 10 ** 7)) == "-1.00000000000000000000000000000E-7"
+    assert decimal_str(Fraction(89)) == "89." + "0" * 28
+    assert decimal_str(0) == "0." + "0" * 29
+
+
+def test_decimals_ignore_the_callers_decimal_context():
+    values = _surd_cases() + [GoldenScalar.phi_power(k) for k in (-300, -72, 0, 5, 6000)]
+    values += [Fraction(10 ** 31 - 5, 10 ** 37), Fraction(-7, 3), Fraction(10 ** 40 + 1)]
+    values += [growth_rate(c734_word(400, 1223)).value]
+    ints = [0, -7, 10 ** 29 + 1, 3 ** 30000, -(7 ** 20000)]
+    with unlimited_int_str():
+        want = ([decimal_str(x) for x in values], [encode.int_str(n) for n in ints])
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding = 3, ROUND_FLOOR
+            ctx.traps[Inexact] = True
+            got = ([decimal_str(x) for x in values], [encode.int_str(n) for n in ints])
+        assert want[1] == [str(n) for n in ints]
+    assert got == want
 
 
 def test_decimal_of_big_coefficients_is_the_correctly_rounded_value():

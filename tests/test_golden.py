@@ -55,6 +55,19 @@ def test_phi_power_matches_repeated_multiplication():
         assert GoldenScalar.phi_power(k) == acc
 
 
+@pytest.mark.parametrize("name", ["a", "b", "c"])
+def test_golden_scalars_refuse_set_and_del(name):
+    # PHI is shared by every caller: neither a set nor a del may reach it
+    for g in (PHI, GoldenScalar(Fraction(1, 2), 3)):
+        before = (g.a, g.b)
+        with pytest.raises(AttributeError):
+            setattr(g, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+        assert (g.a, g.b) == before
+    assert PHI == GoldenScalar(0, 1) and PHI * PHI == PHI + 1
+
+
 def test_compare_against_fraction():
     assert GoldenScalar(7, -4) > Fraction(1, 2)
     assert GoldenScalar(7, -4) < Fraction(13, 24)

@@ -28,6 +28,16 @@ def test_canonical_forms():
         QuadraticSurd(1, 1, 1, -3)
 
 
+@pytest.mark.parametrize("name", ["p", "q", "r", "d", "e"])
+def test_surds_refuse_set_and_del(name):
+    s = QuadraticSurd(15, 4, 1, 14)
+    with pytest.raises(AttributeError):
+        setattr(s, name, 7)
+    with pytest.raises(AttributeError):
+        delattr(s, name)
+    assert (s.p, s.q, s.r, s.d) == (15, 4, 1, 14)
+
+
 def test_identical_canonical_triples_compare_equal():
     a = QuadraticSurd(2, 1, 1, 3)
     b = QuadraticSurd(4, 2, 2, 3)
