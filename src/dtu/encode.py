@@ -3,7 +3,9 @@
 Formats: Fraction "p/q" (plain "p" when integral), GoldenScalar "a+b*phi"
 with rational a, b, QuadraticSurd "(p+q*sqrt(d))/r", quotient sequences
 "a1,a2,...".  Every emitted value re-parses to an equal value.  decimal_str
-renders a number correctly rounded to 30 significant digits.  The parsers
+renders a number correctly rounded to 30 significant digits, in integer
+arithmetic and in the layout of str(Decimal), so the caller's decimal
+context never changes its text.  The parsers
 accept these forms only, with ASCII digits and a sign only as a leading "-"
 or between terms, so "+3", "1_0" and non-ASCII digits raise InputError.
 """
@@ -12,8 +14,7 @@ from __future__ import annotations
 
 import re
 import sys
-from decimal import (MAX_EMAX, MAX_PREC, ROUND_HALF_EVEN, Context, Decimal,
-                     Inexact, localcontext)
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import isqrt
 
@@ -22,12 +23,9 @@ from .golden import GoldenScalar, _enclosure_ends
 from .surd import QuadraticSurd
 
 _DIGITS = 30  # significant digits of decimal_str
+_TOP = 10 ** _DIGITS
 _BITS = 200  # precision of its first enclosure
 _GUARD = 150  # bits of |x| that its enclosures resolve
-# its arithmetic: one context for every call, as entering a localcontext
-# took about 1.8 us a call (CPython 3.11, 2-core VM); the calls only set
-# its flags, which nothing reads, so sharing it changes no result
-_CONTEXT = Context(prec=_DIGITS, rounding=ROUND_HALF_EVEN)
 _BIG_BITS = 4096  # coefficient bits beyond which it works in integers
 # int_str converts ints of more bits by divide and conquer: with CPython
 # 3.11 on a 2-core Xeon VM, str() takes 1.5 ms at 32,000 bits, as long as
@@ -106,11 +104,16 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def golden_str(g: GoldenScalar) -> str:
-    if g.b == 0:
-        return fraction_str(g.a)
-    sign = "+" if g.b > 0 else "-"
-    mag = fraction_str(abs(g.b))
-    return f"{fraction_str(g.a)}{sign}{mag}*phi"
+    a, b = g.a, g.b
+    if (type(a) is int and type(b) is int and a.bit_length() <= _STR_BITS
+            and b.bit_length() <= _STR_BITS):  # str() is int_str there
+        if not b:
+            return str(a)
+        return f"{a}+{b}*phi" if b > 0 else f"{a}-{-b}*phi"
+    if b == 0:
+        return fraction_str(a)
+    sign = "+" if b > 0 else "-"
+    return f"{fraction_str(a)}{sign}{fraction_str(abs(b))}*phi"
 
 
 def parse_golden(text: str) -> GoldenScalar:
@@ -202,38 +205,59 @@ def _abs_floor(x) -> Fraction:
     return Fraction(abs(p * p - q * q * d), r * (abs(p) + abs(q) * (isqrt(d) + 1)))
 
 
-def _big_decimal_str(p: int, q: int, r: int, d: int) -> str:
-    """decimal_str of the irrational (p + q sqrt(d))/r, in integers.
+def _big_midpoint(p: int, q: int, r: int, d: int) -> tuple[int, int]:
+    """(num, den), den > 0, the midpoint of an enclosure of the irrational
+    (p + q sqrt(d))/r within 2^-151 |x|, in integers.
 
-    The midpoint of the enclosure p 2^k + q sqrt(d) 2^k in [s, s+1] (s an
-    isqrt) over r 2^k is within 2^-151 |x|: k is sized from the exact lower
-    bound |p^2 - q^2 d| / (r (|p| + |q| (isqrt(d) + 1))) on |x|.  Its 30
-    digits come from one division whose quotient has 30 digits, so no
-    Fraction of the operands' size is ever normalised.
+    The enclosure is p 2^k + q sqrt(d) 2^k in [s, s+1] (s an isqrt) over
+    r 2^k, with k sized from the exact lower bound |p^2 - q^2 d| /
+    (r (|p| + |q| (isqrt(d) + 1))) on |x|; no Fraction of the operands'
+    size is ever normalised.
     """
     conj = r * (abs(p) + abs(q) * (isqrt(d) + 1))
     e = abs(p * p - q * q * d).bit_length() - 1 - conj.bit_length()  # |x| > 2^e
     k = max(0, _GUARD + 1 - e - r.bit_length())
     s = isqrt(q * q * d << 2 * k)
-    num = (p << k + 1) + (2 * s + 1 if q > 0 else -2 * s - 1)
-    den = r << k + 1
-    sign, num = int(num < 0), abs(num)
-    # 10^(D-1) <= num 10^t / den < 10^D, from log10(2) ~ 0.30103 and a fix-up
-    t = _DIGITS - 1 - (num.bit_length() - den.bit_length()) * 30103 // 100000
-    while True:
-        scaled, div = (num * 10 ** t, den) if t >= 0 else (num, den * 10 ** -t)
-        digits, rem = divmod(scaled, div)
-        if digits >= 10 ** _DIGITS:
-            t -= 1
-        elif digits < 10 ** (_DIGITS - 1):
-            t += 1
-        else:
-            break
-    if 2 * rem > div or (2 * rem == div and digits & 1):  # half-even
+    return (p << k + 1) + (2 * s + 1 if q > 0 else -2 * s - 1), r << k + 1
+
+
+def _rounded_str(num: int, den: int) -> str:
+    """num/den, den > 0, rounded half-even to _DIGITS significant digits and
+    written as str(Decimal) writes them: plain when the exponent is at most
+    0 and the adjusted exponent at least -6, otherwise d.ddd...E+-n.
+
+    t from the bit lengths makes num 10^t / den >= 10^(_DIGITS-1), and one
+    divmod gives its floor.  The estimate overshoots by at most one digit
+    (for exponents below 10^9 bits); a digit past the 30th is folded into
+    the remainder, and the remainder rounds the last digit.
+    """
+    if not num:
+        return "0." + "0" * (_DIGITS - 1)
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    # num/den > 2^e, and 1292913986/2^32 < log10(2) < 1292913987/2^32
+    e = num.bit_length() - den.bit_length() - 1
+    t = _DIGITS - 1 - (e * (1292913986 if e >= 0 else 1292913987) >> 32)
+    if t >= 0:
+        div = den
+        digits, rem = divmod(num * 10 ** t, den)
+    else:
+        div = den * 10 ** -t
+        digits, rem = divmod(num, div)
+    while digits >= _TOP:
+        digits, low = divmod(digits, 10)
+        rem, div, t = low * div + rem, 10 * div, t - 1
+    if 2 * rem > div or (2 * rem == div and digits & 1):
         digits += 1
-        if digits == 10 ** _DIGITS:  # 9.99..95 rounds up to 10.0..0
+        if digits == _TOP:  # 9.99..95 rounds up to 10.0..0
             digits, t = digits // 10, t - 1
-    return str(Decimal((sign, tuple(map(int, str(digits))), -t)))
+    text = str(digits)
+    point = _DIGITS - t  # digits before the decimal point
+    if t >= 0 and point > -6:  # exponent <= 0, adjusted exponent >= -6
+        if point > 0:
+            return f"{sign}{text[:point]}.{text[point:]}" if t else sign + text
+        return f"{sign}0.{'0' * -point}{text}"
+    return f"{sign}{text[0]}.{text[1:]}E{point - 1:+d}"
 
 
 def _midpoint(lo: Fraction, hi: Fraction) -> tuple[int, int]:
@@ -250,20 +274,20 @@ def decimal_str(value) -> str:
     those of x unless x lies that close to a rounding tie.  Its parts are
     read once, from _enclosure_parts.  The midpoint is (lo + hi)/(2 den) of
     the integer ends of _enclosure_ends at 200 bits, the exact rational
-    midpoint of bounds(200), divided as two ints: no Fraction is built.
-    For |x| at most 2^-50 the enclosure is bounds(), sized from an exact
-    lower bound on |x|.  An irrational x whose p, q, r or d passes
-    _BIG_BITS bits is rounded by `_big_decimal_str`, whose work grows with
-    those bits but never normalises a Fraction of them; a rational one
-    (q = 0) is p/r.
+    midpoint of bounds(200): no Fraction is built.  For |x| at most 2^-50
+    the enclosure is bounds(), sized from an exact lower bound on |x|.  An
+    irrational x whose p, q, r or d passes _BIG_BITS bits takes its
+    midpoint from _big_midpoint, whose work grows with those bits but never
+    normalises a Fraction of them; a rational one (q = 0) is p/r.  Every
+    route ends in _rounded_str, which rounds the two ints num/den in
+    integer arithmetic.
     """
     if isinstance(value, (GoldenScalar, QuadraticSurd)):
         p, q, r, d, size = value._enclosure_parts()
         if not q:
             num, den = p, r
-        elif max(p.bit_length(), q.bit_length(), r.bit_length(),
-                 d.bit_length()) > _BIG_BITS:
-            return _big_decimal_str(p, q, r, d)
+        elif (abs(p) | abs(q) | r | d).bit_length() > _BIG_BITS:  # the most bits
+            num, den = _big_midpoint(p, q, r, d)
         else:
             lo, hi, den = _enclosure_ends(p, q, r, d, size, _BITS)
             num, den = lo + hi, den << 1
@@ -276,9 +300,4 @@ def decimal_str(value) -> str:
     else:
         x = value if isinstance(value, Fraction) else Fraction(value)
         num, den = x.numerator, x.denominator
-    dec = _CONTEXT.divide(num, den)  # the ints convert exactly
-    if dec == 0:
-        return "0." + "0" * (_DIGITS - 1)
-    # the exponent of the rounded quotient: 0.99..96 rounds up to 1.00..0
-    quantum = Decimal(1).scaleb(dec.adjusted() - _DIGITS + 1, _CONTEXT)
-    return str(dec.quantize(quantum, context=_CONTEXT))
+    return _rounded_str(num, den)

@@ -64,7 +64,7 @@ def _enclosure_ends(p: int, q: int, r: int, d: int, size: int,
     """
     if not q:
         return p, p, r
-    k = bits + max(0, size) + 2
+    k = bits + (size if size > 0 else 0) + 2  # max() costs a call
     s = _sqrt_floor(d, k)
     lo = (p << k) + q * s
     hi = lo + q
@@ -107,8 +107,8 @@ class GoldenScalar:
     __slots__ = ("a", "b")
 
     def __init__(self, a: RationalLike, b: RationalLike = 0):
-        object.__setattr__(self, "a", a if type(a) is int else _exact(a))
-        object.__setattr__(self, "b", b if type(b) is int else _exact(b))
+        _set_a(self, a if type(a) is int else _exact(a))
+        _set_b(self, b if type(b) is int else _exact(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenScalar is immutable")
@@ -237,8 +237,11 @@ class GoldenScalar:
     def _enclosure_parts(self) -> tuple[int, int, int, int, int]:
         """(p, q, r, d, size) of _enclosure_ends: surd_parts, d = 5, and
         size from b/2 in lowest terms (reducing n/(2d) divides both by 2 or
-        by nothing, which leaves their difference in bits unchanged)."""
-        b = self.b
+        by nothing, which leaves their difference in bits unchanged).  Int
+        coefficients give (2a + b, b, 2, 5, bits of |b| less 2) directly."""
+        a, b = self.a, self.b
+        if type(a) is int and type(b) is int:
+            return 2 * a + b, b, 2, 5, abs(b).bit_length() - 2
         size = abs(b.numerator).bit_length() - (2 * b.denominator).bit_length()
         return (*self.surd_parts(), 5, size)
 
@@ -255,6 +258,9 @@ class GoldenScalar:
 
         return golden_str(self)
 
+
+# the slots' own setters, which __init__ calls as __setattr__ refuses
+_set_a, _set_b = GoldenScalar.a.__set__, GoldenScalar.b.__set__
 
 PHI = GoldenScalar(0, 1)
 GOLDEN_ONE = GoldenScalar(1)
