@@ -99,18 +99,19 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sample(args) -> int:
     from .encode import decimal_str, exact_str
-    from .geval import DEFAULT_FAREY_DEPTH_CAP, check_sample_cost, sample_farey
+    from .geval import DEFAULT_FAREY_DEPTH_CAP, check_sample_cost, farey_rows
 
     lam = _parse_lambda(args.lam)
     cap = _env_cap("FAREY_DEPTH_CAP", DEFAULT_FAREY_DEPTH_CAP)
     check_sample_cost(lam, args.depth)
-    table = sample_farey(lam, args.depth, depth_cap=cap)
-    # the file opens only now, so a rejected sample leaves none; rows are
-    # written as they are rendered, so the CSV is never held whole
+    rows = farey_rows(lam, args.depth, depth_cap=cap)  # checks its input now
+    # the file opens only now, so a rejected sample leaves none; each row is
+    # written as the walk reaches it, so neither the table nor the CSV is
+    # ever held whole
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
         write = out.write
         write("x_num,x_den,g_exact,g_decimal\n")
-        for x, g in table:
+        for x, g in rows:
             write(f"{x.numerator},{x.denominator},{exact_str(g)},{decimal_str(g)}\n")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from . import cf
 from .cf import Orientation, PeriodicCF
@@ -266,7 +266,17 @@ def g_interval(lam: LambdaKind, x: PeriodicCF, tol: Fraction) -> CertifiedInterv
 
 def sample_farey(lam: Lambda, depth: int,
                  depth_cap: int = DEFAULT_FAREY_DEPTH_CAP) -> list[tuple[Fraction, ExactScalar]]:
-    """All Farey fractions of order <= depth with exact g values, sorted by x.
+    """All Farey fractions of order <= depth with exact g values, sorted by x:
+    the rows of farey_rows as one list."""
+    return list(farey_rows(lam, depth, depth_cap))
+
+
+def farey_rows(lam: Lambda, depth: int,
+               depth_cap: int = DEFAULT_FAREY_DEPTH_CAP) -> Iterator[tuple[Fraction, ExactScalar]]:
+    """The rows (x, g(x)) of sample_farey, yielded in order of x as the walk
+    reaches them, so a caller that writes each row never holds the table.
+    The weight, the depth and its cap are checked when this is called, not
+    when the first row is asked for.
 
     Values are propagated down the tree (each mediant's value from its two
     parents), so the table is a single in-order traversal that computes each
@@ -282,15 +292,22 @@ def sample_farey(lam: Lambda, depth: int,
     if depth > depth_cap:
         raise CapExceededError(f"depth {depth} exceeds cap {depth_cap}")
     if isinstance(lam_v, GoldenScalar):
-        b, scale, row = 1, 1, GoldenScalar
-        la, lb, ca, cb = lam_v.a, lam_v.b, com_v.a, com_v.b
-    else:
-        b = lam_v.denominator
-        scale = b ** depth
-        la, lb, ca, cb = lam_v.numerator, 0, b - lam_v.numerator, 0
+        return _farey_walk(depth, 1, 1, (lam_v.a, lam_v.b, com_v.a, com_v.b),
+                           GoldenScalar)
+    b = lam_v.denominator
+    scale = b ** depth
 
-        def row(x, _):
-            return Fraction(x, scale)
+    def row(x, _):
+        return Fraction(x, scale)
+    return _farey_walk(depth, b, scale, (lam_v.numerator, 0, b - lam_v.numerator, 0), row)
+
+
+def _farey_walk(depth: int, b: int, scale: int, weights: tuple[int, int, int, int],
+                row) -> Iterator[tuple[Fraction, ExactScalar]]:
+    """The rows of farey_rows: weights are the Z[phi] numerators (la, lb)
+    of lambda and (ca, cb) of 1 - lambda over b, and row(x, y) is the value
+    of the int pair (x, y) over scale = b^depth."""
+    la, lb, ca, cb = weights
     # in-order walk of the mediant tree restricted to denominators <= depth:
     # go left from (l, r) while the mediant fits, keeping each mediant with
     # its value and its right end; a popped mediant is the next left end.
@@ -299,7 +316,7 @@ def sample_farey(lam: Lambda, depth: int,
     # division is exact: a node at tree depth t has a value over b^t, and a
     # node p/q has t = (sum of the partial quotients of p/q) - 1 <= q - 1,
     # so every node of order <= depth has t < depth
-    out: list[tuple[Fraction, ExactScalar]] = [(Fraction(0), row(0, 0))]
+    yield Fraction(0), row(0, 0)
     ln, ld, lx, ly = 0, 1, 0, 0
     rn, rd, rx, ry = 1, 1, scale, 0
     stack = []
@@ -313,6 +330,5 @@ def sample_farey(lam: Lambda, depth: int,
         if not stack:
             break
         ln, ld, lx, ly, rn, rd, rx, ry = stack.pop()
-        out.append((Fraction(ln, ld), row(lx, ly)))
-    out.append((Fraction(1), row(scale, 0)))
-    return out
+        yield Fraction(ln, ld), row(lx, ly)
+    yield Fraction(1), row(scale, 0)

@@ -10,10 +10,10 @@ import pytest
 
 from dtu import cf
 from dtu.cf import PeriodicCF
-from dtu.errors import CapExceededError
+from dtu.errors import CapExceededError, InputError
 from dtu.geval import (SAMPLE_WEIGHTED_DEPTH_MAX, CertifiedInterval, LambdaKind,
-                       check_sample_cost, g_finite_series, g_interval,
-                       g_mediant, question_mark, sample_farey)
+                       check_sample_cost, farey_rows, g_finite_series,
+                       g_interval, g_mediant, question_mark, sample_farey)
 from dtu.golden import GoldenScalar
 
 
@@ -216,6 +216,21 @@ def test_sample_farey_examples_and_cap():
         assert g == GoldenScalar(1) - table3[1 - x]
     with pytest.raises(CapExceededError, match="depth 10 exceeds cap 5"):
         sample_farey(LambdaKind.HALF, 10, depth_cap=5)
+
+
+@pytest.mark.parametrize("lam", [LambdaKind.PHI_INV, Fraction(3, 7)])
+def test_farey_rows_stream_the_table_and_check_when_called(lam):
+    table = sample_farey(lam, 40)
+    rows = farey_rows(lam, 40)
+    assert next(rows) == table[0]
+    assert list(rows) == table[1:]
+    # rejected before any row is asked for, so `dtu sample` opens no file
+    with pytest.raises(CapExceededError, match="depth 10 exceeds cap 5"):
+        farey_rows(lam, 10, depth_cap=5)
+    with pytest.raises(InputError):
+        farey_rows(lam, 0)
+    with pytest.raises(InputError):
+        farey_rows(Fraction(3, 2), 10)
 
 
 def test_sample_cost_counts_the_depth_once_per_bit_of_q():
