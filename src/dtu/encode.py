@@ -23,10 +23,10 @@ from .golden import GoldenScalar, _enclosure_ends
 from .surd import QuadraticSurd
 
 _DIGITS = 30  # significant digits of decimal_str
-_TOP = 10 ** _DIGITS
+_TOP = 10 ** _DIGITS  # the least integer of _DIGITS + 1 digits
 _BITS = 200  # precision of its first enclosure
 _GUARD = 150  # bits of |x| that its enclosures resolve
-_BIG_BITS = 4096  # coefficient bits beyond which it works in integers
+_BIG_BITS = 4096  # coefficient bits beyond which _big_midpoint encloses
 # int_str converts ints of more bits by divide and conquer: with CPython
 # 3.11 on a 2-core Xeon VM, str() takes 1.5 ms at 32,000 bits, as long as
 # the split does, 6 ms at 64,000 (split 3.8 ms) and 92 ms at 250,000 (18 ms)
