@@ -439,7 +439,7 @@ def test_deterministic_outputs(capsys):
     (["sample", "--lambda", "5/8", "--depth", "120"],
      "435e234b32bc567c3bdd244263770b316bcc962a9fcdff7f904bc18cb1454765"),
     # 2,446 quotients: the growth rate passes encode._BIG_BITS, so its
-    # decimal comes from _big_decimal_str
+    # decimal rounds the midpoint that _big_midpoint gives
     (["classify", "--period", "c734_word(400, 1223)"],
      "a35ac09625ec98a094d8e23c38e30d35616b347ab36048800f3e38305ff773bc"),
     # odd remainders whose ordinary blocks the goldens (period 1) miss,

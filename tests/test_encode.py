@@ -332,14 +332,16 @@ def test_decimal_from_unreduced_midpoints_matches_normalised_ones():
 
 def _layout_cases() -> list:
     """Rationals at every switch of the str(Decimal) layout: +-(1 +- tiny) 10^k
-    for k = -40..40, with a tiny that rounds away, one that leaves 29 nines
-    and a 9, and a tie that rounds 0.99..95 up across the decade; values
-    from 10^30 up (E+), 0, 89, and 20,000 seeded random fractions."""
+    for k = -40..40, with a tiny that rounds away, one in the 30th digit
+    (29 nines), a tie that rounds 0.99..95 up across the decade, and a tie
+    that rounds 1.00..05 down to its even digit; values from 10^30 up (E+),
+    0, 89, and 20,000 seeded random fractions."""
     cases = [Fraction(0), Fraction(89), Fraction(-89), Fraction(10 ** 31 - 5, 10 ** 37),
              Fraction(-(10 ** 31 - 5), 10 ** 37), Fraction(10 ** 30),
              Fraction(10 ** 30 - 1), Fraction(10 ** 31 - 5, 10), Fraction(10 ** 60 + 7, 3)]
     for k in range(-40, 41):
-        for tiny in (Fraction(1, 10 ** 35), Fraction(1, 10 ** 29), Fraction(5, 10 ** 31)):
+        for tiny in (Fraction(1, 10 ** 35), Fraction(1, 10 ** 29), Fraction(5, 10 ** 31),
+                     Fraction(5, 10 ** 30)):
             for s in (1, -1):
                 cases += [s * (1 + tiny) * Fraction(10) ** k,
                           s * (1 - tiny) * Fraction(10) ** k]
