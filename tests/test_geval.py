@@ -91,6 +91,60 @@ def test_rational_weight_mediant_matches_series_on_long_expansions(lam):
     assert 0 < value < 1
 
 
+# the GoldenScalar loops that g_mediant and g_finite_series ran at the golden
+# weights, kept as the reference for their integer loops
+GOLDEN_WEIGHTS = {LambdaKind.PHI_INV: (GoldenScalar(-1, 1), GoldenScalar(2, -1)),
+                  LambdaKind.TAU: (GoldenScalar(2, -1), GoldenScalar(-1, 1))}
+
+
+def golden_mediant_reference(lam, x):
+    lam_v, com_v = GOLDEN_WEIGHTS[lam]
+    runs = list(cf.cf_of(x))
+    runs[0] -= 1
+    runs[-1] -= 1
+    g_lo, g_hi = GoldenScalar(0), GoldenScalar(1)
+    for i, k in enumerate(runs):
+        if i % 2 == 0:
+            g_hi = g_lo + lam_v ** k * (g_hi - g_lo)
+        else:
+            g_lo = g_hi - com_v ** k * (g_hi - g_lo)
+    return com_v * g_lo + lam_v * g_hi
+
+
+def golden_series_reference(lam, seq):
+    lam_v, com_v = GOLDEN_WEIGHTS[lam]
+    odd_sum = even_sum = 0
+    total = GoldenScalar(0)
+    for i, a in enumerate(cf.canonical(seq), start=1):
+        if i % 2 == 1:
+            odd_sum += a
+        else:
+            even_sum += a
+        term = lam_v ** (odd_sum - 1) * com_v ** even_sum
+        total = total + term if i % 2 == 1 else total - term
+    return total
+
+
+@pytest.mark.parametrize("lam", [LambdaKind.PHI_INV, LambdaKind.TAU])
+def test_golden_evaluators_match_the_golden_scalar_loops(lam):
+    rng = random.Random(41)
+    points = farey_fractions(60)
+    for _ in range(2000):
+        q = rng.randint(2, 10 ** 6)
+        points.append(Fraction(rng.randint(1, q - 1), q))
+    points.append(Fraction(1, 100000))
+    cases = [(x, cf.cf_of(x)) for x in points]
+    for _ in range(4):
+        seq = tuple(rng.randint(1, 4) for _ in range(1024))
+        cases.append((cf.value_of(seq), seq))
+    for x, seq in cases:
+        for got, want in ((g_mediant(lam, x), golden_mediant_reference(lam, x)),
+                          (g_finite_series(lam, seq), golden_series_reference(lam, seq))):
+            assert type(got) is GoldenScalar, (lam, x)
+            assert type(got.a) is int and type(got.b) is int, (lam, x)
+            assert (got.a, got.b) == (want.a, want.b), (lam, x)
+
+
 def test_series_equals_mediant_on_farey_order_24_with_random_weights():
     rng = random.Random(23)
     weights = [LambdaKind.HALF, LambdaKind.PHI_INV, LambdaKind.TAU]

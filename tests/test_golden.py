@@ -169,6 +169,16 @@ def test_pow_and_errors():
     assert GOLDEN_ZERO + 3 == GoldenScalar(3)
 
 
+def test_pow_of_the_units_matches_phi_power():
+    # lambda = phi - 1 = phi^-1 and 1 - lambda = 2 - phi = phi^-2 at phi-inv
+    for k in range(301):
+        for base, step in ((GoldenScalar(-1, 1), -1), (GoldenScalar(2, -1), -2),
+                           (PHI, 1)):
+            power, want = base ** k, GoldenScalar.phi_power(step * k)
+            assert (power.a, power.b) == (want.a, want.b), (base, k)
+            assert type(power.a) is int and type(power.b) is int, (base, k)
+
+
 def test_negation_and_reflected_subtraction():
     g = GoldenScalar(7, -4)
     assert ((-g).a, (-g).b) == (-7, 4)
