@@ -19,14 +19,14 @@ from typing import Iterator, Union
 from . import cf
 from .cf import Orientation, PeriodicCF
 from .errors import CapExceededError, InputError
-from .golden import GOLDEN_ONE, GOLDEN_ZERO, GoldenScalar, bits_for_width
+from .golden import GOLDEN_ONE, GOLDEN_ZERO, GoldenScalar, _fibonacci_pair, bits_for_width
 
 DEFAULT_FAREY_DEPTH_CAP = 512
 # The most work that `dtu eval` takes on, checked by check_mediant_cost
 # before g_mediant runs: the number of partial quotients of x, and their sum,
 # times the bits of q for a rational weight p/q, as lambda^k then has about
-# k log2(q) bits.  1,024 quotients of 128 take 0.5 s at tau, and g at
-# x = 1/100000 prints 42 kB.
+# k log2(q) bits.  1,024 quotients of 128 take about 0.05 s in g_mediant at
+# tau and 0.1 s in `dtu eval` in process, and g at x = 1/100000 prints 42 kB.
 EVAL_QUOTIENTS_MAX = 2 ** 10
 EVAL_QUOTIENT_SUM_MAX = 2 ** 17
 # The most work that `dtu sample` takes on, checked by check_sample_cost
@@ -72,6 +72,11 @@ def g_mediant(lam: Lambda, x: Fraction) -> ExactScalar:
     n = 1).  A run is one jump: k steps toward 0 shrink g_hi - g_lo by
     lambda^k from the left end, k steps toward 1 by (1-lambda)^k from the
     right end; x is the mediant of the final ends.
+
+    At the golden weights lambda and 1 - lambda are the units phi^-1 and
+    phi^-2 (phi^-2 and phi^-1 at tau), so a jump multiplies g_hi - g_lo by
+    a power of phi^-1 read off Fibonacci numbers, and the ends are int
+    pairs x + y phi; a rational weight runs on integers in _rational_mediant.
     """
     lam_v, com_v, zero, one = _field(lam)
     x = Fraction(x)
@@ -86,13 +91,24 @@ def g_mediant(lam: Lambda, x: Fraction) -> ExactScalar:
     runs[-1] -= 1
     if isinstance(lam_v, Fraction):
         return _rational_mediant(lam_v, runs)
-    g_lo, g_hi = zero, one
+    # lambda = phi^-el and 1 - lambda = phi^-ec; g_lo = lx + ly phi and
+    # g_hi = hx + hy phi, and a run of k steps multiplies g_hi - g_lo by
+    # phi^-m = u + v phi, m = k el or k ec, by the Z[phi] product
+    # (u + v phi)(x + y phi) = ux + vy + (uy + vx + vy) phi
+    el, ec = (1, 2) if lam is LambdaKind.PHI_INV else (2, 1)
+    lx, ly, hx, hy = 0, 0, 1, 0
     for i, k in enumerate(runs):
+        m = k * (el if i % 2 == 0 else ec)
+        f, g = _fibonacci_pair(m)  # phi^-m = (-1)^m (F(m+1) - F(m) phi)
+        u, v = (g, -f) if m % 2 == 0 else (-g, f)
+        dx, dy = hx - lx, hy - ly
+        px, py = u * dx + v * dy, u * dy + v * dx + v * dy
         if i % 2 == 0:
-            g_hi = g_lo + lam_v ** k * (g_hi - g_lo)
+            hx, hy = lx + px, ly + py
         else:
-            g_lo = g_hi - com_v ** k * (g_hi - g_lo)
-    return com_v * g_lo + lam_v * g_hi
+            lx, ly = hx - px, hy - py
+    # GoldenScalar ops: farey-table's trace expects golden __add__/__mul__, made only here
+    return com_v * GoldenScalar(lx, ly) + lam_v * GoldenScalar(hx, hy)
 
 
 def _rational_mediant(lam: Fraction, runs) -> Fraction:
@@ -151,24 +167,31 @@ def g_finite_series(lam: Lambda, seq) -> ExactScalar:
     Non-canonical input (trailing 1) is normalized first; the t-th partial
     term is lambda^(sum of odd-indexed a_i up to t, minus 1) times
     (1-lambda)^(sum of even-indexed a_i up to t).
+
+    Each term is the one before times lambda^(a_t) or (1-lambda)^(a_t).  At
+    the golden weights these are units, powers of phi^-1 read off Fibonacci
+    numbers, and the term and the sum are int pairs x + y phi; a rational
+    weight runs on integers in _rational_series.
     """
     seq = cf.canonical(cf.check_quotients(seq, allow_empty=False))
-    lam_v, com_v, zero, _ = _field(lam)
+    lam_v, _, _, _ = _field(lam)
     if isinstance(lam_v, Fraction):
         return _rational_series(lam_v, seq)
-    odd_sum = 0
-    even_sum = 0
-    total = zero
-    sign = 1
-    for i, a in enumerate(seq, start=1):
-        if i % 2 == 1:
-            odd_sum += a
+    # lambda = phi^-el and 1 - lambda = phi^-ec; the term tx + ty phi starts
+    # at lambda^(a1 - 1) and is multiplied by phi^-m = u + v phi, m = a el
+    # or a ec, at each later quotient a, by the Z[phi] product of g_mediant
+    el, ec = (1, 2) if lam is LambdaKind.PHI_INV else (2, 1)
+    tx, ty, sx, sy = 1, 0, 0, 0
+    for i, a in enumerate(seq):
+        m = (a - 1 if i == 0 else a) * (el if i % 2 == 0 else ec)
+        f, g = _fibonacci_pair(m)  # phi^-m = (-1)^m (F(m+1) - F(m) phi)
+        u, v = (g, -f) if m % 2 == 0 else (-g, f)
+        tx, ty = u * tx + v * ty, u * ty + v * tx + v * ty
+        if i % 2 == 0:
+            sx, sy = sx + tx, sy + ty
         else:
-            even_sum += a
-        term = lam_v ** (odd_sum - 1) * com_v ** even_sum
-        total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
+            sx, sy = sx - tx, sy - ty
+    return GoldenScalar(sx, sy)
 
 
 def _rational_series(lam: Fraction, seq) -> Fraction:
