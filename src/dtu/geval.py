@@ -19,7 +19,8 @@ from typing import Iterator, Union
 from . import cf
 from .cf import Orientation, PeriodicCF
 from .errors import CapExceededError, InputError
-from .golden import GOLDEN_ONE, GOLDEN_ZERO, GoldenScalar, _fibonacci_pair, bits_for_width
+from .golden import (GOLDEN_ONE, GOLDEN_ZERO, GoldenScalar, _fibonacci_pair,
+                     bits_for_width)
 
 DEFAULT_FAREY_DEPTH_CAP = 512
 # The most work that `dtu eval` takes on, checked by check_mediant_cost

@@ -174,9 +174,9 @@ class GoldenScalar:
     def __neg__(self):
         return GoldenScalar(-self.a, -self.b)
 
-    # no library code calls this since the golden evaluators run on int
-    # pairs, but it stays: bench/dtubench/tracing.py looks it up in the class
-    # __dict__, so Tracer.install raises KeyError without it
+    # no library code calls this, but it stays: bench/dtubench/tracing.py
+    # looks it up in the class __dict__, so Tracer.install raises KeyError
+    # without it
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
