@@ -245,16 +245,3 @@ def periodic_value(x: PeriodicCF) -> QuadraticSurd:
     if not (QuadraticSurd.from_fraction(0) < y < QuadraticSurd.from_fraction(1)):
         raise AssertionError("periodic continued fraction value outside (0, 1)")
     return y
-
-
-def convergents(seq: Sequence[int]) -> list[Fraction]:
-    """Successive convergents p_i/q_i of [0; a_1, ..., a_n]."""
-    seq = check_quotients(seq)
-    out = []
-    p_prev, p = 1, 0
-    q_prev, q = 0, 1
-    for a in seq:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        out.append(Fraction(p, q))
-    return out

@@ -14,13 +14,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from . import cf
 from .cf import Orientation, PeriodicCF
 from .errors import CapExceededError, InputError
-from .golden import (GOLDEN_ONE, GOLDEN_ZERO, GoldenScalar, _fibonacci_pair,
-                     bits_for_width)
+from .golden import GOLDEN_ZERO, GoldenScalar, _fibonacci_pair, bits_for_width
 
 DEFAULT_FAREY_DEPTH_CAP = 512
 # The most work that `dtu eval` takes on, checked by check_mediant_cost
@@ -50,19 +49,53 @@ class LambdaKind(enum.Enum):
 Lambda = Union[LambdaKind, Fraction]
 
 
-def _field(lam: Lambda):
-    """(lambda, 1-lambda, zero, one) in the exact field matching the weight."""
-    if lam is LambdaKind.PHI_INV:
-        return GoldenScalar(-1, 1), GoldenScalar(2, -1), GOLDEN_ZERO, GOLDEN_ONE
-    if lam is LambdaKind.TAU:
-        return GoldenScalar(2, -1), GoldenScalar(-1, 1), GOLDEN_ZERO, GOLDEN_ONE
-    if lam is LambdaKind.HALF:
-        half = Fraction(1, 2)
-        return half, half, Fraction(0), Fraction(1)
+class _Weight:
+    """A weight as integer data: lambda and 1 - lambda are the Z[phi]
+    numerators lam = (x, y) and com, x + y phi, over one integer b.  At the
+    golden weights b = 1 and lambda = phi^-el, 1 - lambda = phi^-ec with
+    units = (el, ec); a rational weight a/b has lam = (a, 0), com = (b - a, 0)
+    and no units.  A plain class: a dataclass costs about 1 ms at import."""
+
+    __slots__ = ("lam", "com", "b", "units")
+
+    def __init__(self, lam: tuple[int, int], com: tuple[int, int], b: int,
+                 units: tuple[int, ...] = ()):
+        self.lam, self.com, self.b, self.units = lam, com, b, units
+
+    def power(self, side: int, k: int) -> tuple[int, int, int]:
+        """(u, v, s) with lambda^k (side 0) or (1 - lambda)^k (side 1) equal
+        to (u + v phi) / s: a unit phi^-m over 1 at the golden weights, and
+        a^k or (b - a)^k over b^k at a rational a/b."""
+        if self.units:
+            m = k * self.units[side]
+            f, g = _fibonacci_pair(m)  # phi^-m = (-1)^m (F(m+1) - F(m) phi)
+            return (g, -f, 1) if m % 2 == 0 else (-g, f, 1)
+        return (self.com if side else self.lam)[0] ** k, 0, self.b ** k
+
+    def values(self, n: int) -> Callable[[int, int], ExactScalar]:
+        """The map from an int pair (x, y) over b^n to its exact value:
+        GoldenScalar(x, y) at the golden weights, where b is 1, and
+        Fraction(x, b^n) at a rational weight, where y is 0."""
+        if self.units:
+            return GoldenScalar
+        scale = self.b ** n
+        return lambda x, _: Fraction(x, scale)
+
+
+_NAMED = {LambdaKind.HALF: _Weight((1, 0), (1, 0), 2),
+          LambdaKind.PHI_INV: _Weight((-1, 1), (2, -1), 1, (1, 2)),
+          LambdaKind.TAU: _Weight((2, -1), (-1, 1), 1, (2, 1))}
+
+
+def _weight(lam: Lambda) -> _Weight:
+    """The _Weight of a named weight, or of a rational one in (0, 1)."""
+    if isinstance(lam, LambdaKind):
+        return _NAMED[lam]
     value = Fraction(lam)
     if not 0 < value < 1:
         raise InputError(f"rational weight must lie in (0, 1), got {value}")
-    return value, 1 - value, Fraction(0), Fraction(1)
+    a, b = value.numerator, value.denominator
+    return _Weight((a, 0), (b - a, 0), b)
 
 
 def g_mediant(lam: Lambda, x: Fraction) -> ExactScalar:
@@ -74,58 +107,41 @@ def g_mediant(lam: Lambda, x: Fraction) -> ExactScalar:
     lambda^k from the left end, k steps toward 1 by (1-lambda)^k from the
     right end; x is the mediant of the final ends.
 
-    At the golden weights lambda and 1 - lambda are the units phi^-1 and
-    phi^-2 (phi^-2 and phi^-1 at tau), so a jump multiplies g_hi - g_lo by
-    a power of phi^-1 read off Fibonacci numbers, and the ends are int
-    pairs x + y phi; a rational weight runs on integers in _rational_mediant.
+    The ends are int pairs x + y phi over one growing power of the weight's
+    denominator b, and each jump multiplies by a power (u + v phi) / s of
+    the weight: a unit phi^-m read off Fibonacci numbers at the golden
+    weights (s = 1), a^k / b^k at a rational a/b.
     """
-    lam_v, com_v, zero, one = _field(lam)
+    weight = _weight(lam)
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise InputError(f"x must lie in [0, 1], got {x}")
-    if x == 0:
-        return zero
-    if x == 1:
-        return one
-    runs = list(cf.cf_of(x))
+    if x == 0 or x == 1:
+        return weight.values(0)(x.numerator, 0)
+    runs = list(cf._euclid(x))
     runs[0] -= 1
     runs[-1] -= 1
-    if isinstance(lam_v, Fraction):
-        return _rational_mediant(lam_v, runs)
-    # lambda = phi^-el and 1 - lambda = phi^-ec; g_lo = lx + ly phi and
-    # g_hi = hx + hy phi, and a run of k steps multiplies g_hi - g_lo by
-    # phi^-m = u + v phi, m = k el or k ec, by the Z[phi] product
-    # (u + v phi)(x + y phi) = ux + vy + (uy + vx + vy) phi
-    el, ec = (1, 2) if lam is LambdaKind.PHI_INV else (2, 1)
+    # a run of k steps multiplies g_hi - g_lo by (u + v phi) / s, by the
+    # Z[phi] product (u + v phi)(x + y phi) = ux + vy + (uy + vx + vy) phi,
+    # and brings the end it keeps over the new denominator
+    power = weight.power
     lx, ly, hx, hy = 0, 0, 1, 0
     for i, k in enumerate(runs):
-        m = k * (el if i % 2 == 0 else ec)
-        f, g = _fibonacci_pair(m)  # phi^-m = (-1)^m (F(m+1) - F(m) phi)
-        u, v = (g, -f) if m % 2 == 0 else (-g, f)
+        side = i % 2
+        u, v, s = power(side, k)
         dx, dy = hx - lx, hy - ly
         px, py = u * dx + v * dy, u * dy + v * dx + v * dy
-        if i % 2 == 0:
+        if side == 0:
+            lx, ly = lx * s, ly * s
             hx, hy = lx + px, ly + py
         else:
+            hx, hy = hx * s, hy * s
             lx, ly = hx - px, hy - py
-    # GoldenScalar ops: farey-table's trace expects golden __add__/__mul__, made only here
-    return com_v * GoldenScalar(lx, ly) + lam_v * GoldenScalar(hx, hy)
-
-
-def _rational_mediant(lam: Fraction, runs) -> Fraction:
-    """The jumps of g_mediant at a rational weight a/b, on integers: after e
-    steps g_lo and g_hi are lo/b^e and hi/b^e, and one Fraction is
-    normalised at the end, not one per run."""
-    a, b = lam.numerator, lam.denominator
-    c = b - a  # 1 - lambda = c/b
-    lo, hi = 0, 1
-    for i, k in enumerate(runs):
-        scale = b ** k
-        if i % 2 == 0:
-            lo, hi = lo * scale, lo * scale + a ** k * (hi - lo)
-        else:
-            lo, hi = hi * scale - c ** k * (hi - lo), hi * scale
-    return Fraction(c * lo + a * hi, b ** (sum(runs) + 1))
+    if weight.units:
+        # GoldenScalar ops: farey-table's trace expects golden __add__/__mul__, made only here
+        return GoldenScalar(lx, ly) + GoldenScalar(*weight.lam) * GoldenScalar(hx - lx, hy - ly)
+    a, c = weight.lam[0], weight.com[0]
+    return Fraction(c * lx + a * hx, weight.b ** (sum(runs) + 1))
 
 
 def check_mediant_cost(lam: Lambda, x) -> None:
@@ -169,51 +185,29 @@ def g_finite_series(lam: Lambda, seq) -> ExactScalar:
     term is lambda^(sum of odd-indexed a_i up to t, minus 1) times
     (1-lambda)^(sum of even-indexed a_i up to t).
 
-    Each term is the one before times lambda^(a_t) or (1-lambda)^(a_t).  At
-    the golden weights these are units, powers of phi^-1 read off Fibonacci
-    numbers, and the term and the sum are int pairs x + y phi; a rational
-    weight runs on integers in _rational_series.
+    Each term is the one before times lambda^(a_t) or (1-lambda)^(a_t), a
+    power (u + v phi) / s of the weight as in g_mediant, and the term and
+    the sum are int pairs x + y phi over one growing power of the weight's
+    denominator.
     """
     seq = cf.canonical(cf.check_quotients(seq, allow_empty=False))
-    lam_v, _, _, _ = _field(lam)
-    if isinstance(lam_v, Fraction):
-        return _rational_series(lam_v, seq)
-    # lambda = phi^-el and 1 - lambda = phi^-ec; the term tx + ty phi starts
-    # at lambda^(a1 - 1) and is multiplied by phi^-m = u + v phi, m = a el
-    # or a ec, at each later quotient a, by the Z[phi] product of g_mediant
-    el, ec = (1, 2) if lam is LambdaKind.PHI_INV else (2, 1)
+    weight = _weight(lam)
+    # the term tx + ty phi starts at lambda^(a1 - 1), so the first power is
+    # one short; the sum is brought over each new denominator before the
+    # term is added or taken away
+    runs = list(seq)
+    runs[0] -= 1
+    power = weight.power
     tx, ty, sx, sy = 1, 0, 0, 0
-    for i, a in enumerate(seq):
-        m = (a - 1 if i == 0 else a) * (el if i % 2 == 0 else ec)
-        f, g = _fibonacci_pair(m)  # phi^-m = (-1)^m (F(m+1) - F(m) phi)
-        u, v = (g, -f) if m % 2 == 0 else (-g, f)
+    for i, k in enumerate(runs):
+        side = i % 2
+        u, v, s = power(side, k)
         tx, ty = u * tx + v * ty, u * ty + v * tx + v * ty
-        if i % 2 == 0:
-            sx, sy = sx + tx, sy + ty
+        if side == 0:
+            sx, sy = sx * s + tx, sy * s + ty
         else:
-            sx, sy = sx - tx, sy - ty
-    return GoldenScalar(sx, sy)
-
-
-def _rational_series(lam: Fraction, seq) -> Fraction:
-    """The series of g_finite_series at a rational weight a/b, on integers:
-    after a1..at, with O and E the odd- and even-indexed sums, term is
-    a^O c^E (c = b - a) and total / b^(O+E) is the sum of the signed
-    lambda^O (1-lambda)^E; the series is b/a times that, and one Fraction
-    is normalised at the end, not one per term."""
-    a, b = lam.numerator, lam.denominator
-    c = b - a  # 1 - lambda = c/b
-    total, term, scale = 0, 1, 1
-    for i, k in enumerate(seq):
-        step = b ** k
-        total, scale = total * step, scale * step
-        if i % 2 == 0:
-            term *= a ** k
-            total += term
-        else:
-            term *= c ** k
-            total -= term
-    return Fraction(total * b, scale * a)
+            sx, sy = sx * s - tx, sy * s - ty
+    return weight.values(sum(runs))(sx, sy)
 
 
 def question_mark(x: Fraction) -> Fraction:
@@ -307,31 +301,23 @@ def farey_rows(lam: Lambda, depth: int,
     value once.  The walk runs on integers for every weight: with lambda and
     1 - lambda written as Z[phi] numerators over one integer b (b = 1 at the
     golden weights, b = q at a rational weight p/q), a value is an int pair
-    (x, y), x + y phi over b^depth.  Rows are GoldenScalar(x, y) at the
-    golden weights and Fraction(x, b^depth) at rational ones.
+    (x, y), x + y phi over b^depth, and the weight's values map makes the
+    rows GoldenScalar(x, y) at the golden weights and Fraction(x, b^depth)
+    at rational ones.
     """
-    lam_v, com_v, _, _ = _field(lam)  # a weight outside (0, 1) is a usage error
+    weight = _weight(lam)  # a weight outside (0, 1) is a usage error
     if depth < 1:
         raise InputError("depth must be >= 1")
     if depth > depth_cap:
         raise CapExceededError(f"depth {depth} exceeds cap {depth_cap}")
-    if isinstance(lam_v, GoldenScalar):
-        return _farey_walk(depth, 1, 1, (lam_v.a, lam_v.b, com_v.a, com_v.b),
-                           GoldenScalar)
-    b = lam_v.denominator
+    return _farey_walk(depth, weight)
+
+
+def _farey_walk(depth: int, weight: _Weight) -> Iterator[tuple[Fraction, ExactScalar]]:
+    """The rows of farey_rows."""
+    (la, lb), (ca, cb), b = weight.lam, weight.com, weight.b
     scale = b ** depth
-
-    def row(x, _):
-        return Fraction(x, scale)
-    return _farey_walk(depth, b, scale, (lam_v.numerator, 0, b - lam_v.numerator, 0), row)
-
-
-def _farey_walk(depth: int, b: int, scale: int, weights: tuple[int, int, int, int],
-                row) -> Iterator[tuple[Fraction, ExactScalar]]:
-    """The rows of farey_rows: weights are the Z[phi] numerators (la, lb)
-    of lambda and (ca, cb) of 1 - lambda over b, and row(x, y) is the value
-    of the int pair (x, y) over scale = b^depth."""
-    la, lb, ca, cb = weights
+    row = weight.values(depth)
     # in-order walk of the mediant tree restricted to denominators <= depth:
     # go left from (l, r) while the mediant fits, keeping each mediant with
     # its value and its right end; a popped mediant is the next left end.

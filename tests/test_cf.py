@@ -194,21 +194,6 @@ def test_split_identity_randomized():
         assert lhs == rhs
 
 
-def test_convergent_laws():
-    rng = random.Random(13)
-    for _ in range(300):
-        n = rng.randint(2, 10)
-        seq = tuple(rng.randint(1, 9) for _ in range(n))
-        conv = cf.convergents(seq)
-        assert conv[-1] == cf.value_of(seq)
-        qs = [c.denominator for c in conv]
-        ps = [c.numerator for c in conv]
-        for i in range(2, n):
-            assert qs[i] == seq[i] * qs[i - 1] + qs[i - 2]
-        for i in range(1, n):
-            assert abs(ps[i] * qs[i - 1] - ps[i - 1] * qs[i]) == 1
-
-
 def test_weighted_sums():
     assert cf.weighted_sum((7, 4), Orientation.PHI) == 15
     assert cf.weighted_sum((7, 4), Orientation.TAU) == 18

@@ -381,12 +381,13 @@ def test_input_checks_raise_input_error(call):
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
-    # a ValueError from inside g_mediant is a fault of the program, so it
-    # propagates instead of exiting 1 as "usage error"
+    # a ValueError from inside the library, here from Euclid's expansion of
+    # x that check_mediant_cost and g_mediant read, is a fault of the
+    # program, so it propagates instead of exiting 1 as "usage error"
     def broken(x):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cf, "cf_of", broken)
+    monkeypatch.setattr(cf, "_euclid", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["eval", "--lambda", "half", "--x", "2/5"])
     assert "usage error" not in capsys.readouterr().err

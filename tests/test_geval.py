@@ -93,17 +93,27 @@ def test_mediant_matches_series_on_long_expansions(lam):
 
 
 # the GoldenScalar loops that g_mediant and g_finite_series ran at the golden
-# weights, kept as the reference for their integer loops
-GOLDEN_WEIGHTS = {LambdaKind.PHI_INV: (GoldenScalar(-1, 1), GoldenScalar(2, -1)),
-                  LambdaKind.TAU: (GoldenScalar(2, -1), GoldenScalar(-1, 1))}
+# weights, kept as the reference for their integer loops; at a rational
+# weight they run on Fractions.  Each weight is written out here, apart from
+# the weight object that the mediant, the series and the Farey walk share,
+# so that a wrong power there cannot agree with itself.
+REFERENCE_WEIGHTS = {LambdaKind.PHI_INV: (GoldenScalar(-1, 1), GoldenScalar(2, -1)),
+                     LambdaKind.TAU: (GoldenScalar(2, -1), GoldenScalar(-1, 1)),
+                     LambdaKind.HALF: (Fraction(1, 2), Fraction(1, 2))}
 
 
-def golden_mediant_reference(lam, x):
-    lam_v, com_v = GOLDEN_WEIGHTS[lam]
+def reference_weight(lam):
+    """(lambda, 1 - lambda) in the exact field of lam."""
+    return REFERENCE_WEIGHTS.get(lam) or (lam, 1 - lam)
+
+
+def mediant_reference(lam, x):
+    lam_v, com_v = reference_weight(lam)
+    one = lam_v + com_v
     runs = list(cf.cf_of(x))
     runs[0] -= 1
     runs[-1] -= 1
-    g_lo, g_hi = GoldenScalar(0), GoldenScalar(1)
+    g_lo, g_hi = one - one, one
     for i, k in enumerate(runs):
         if i % 2 == 0:
             g_hi = g_lo + lam_v ** k * (g_hi - g_lo)
@@ -112,10 +122,10 @@ def golden_mediant_reference(lam, x):
     return com_v * g_lo + lam_v * g_hi
 
 
-def golden_series_reference(lam, seq):
-    lam_v, com_v = GOLDEN_WEIGHTS[lam]
+def series_reference(lam, seq):
+    lam_v, com_v = reference_weight(lam)
     odd_sum = even_sum = 0
-    total = GoldenScalar(0)
+    total = lam_v - lam_v
     for i, a in enumerate(cf.canonical(seq), start=1):
         if i % 2 == 1:
             odd_sum += a
@@ -126,24 +136,32 @@ def golden_series_reference(lam, seq):
     return total
 
 
-@pytest.mark.parametrize("lam", [LambdaKind.PHI_INV, LambdaKind.TAU])
+@pytest.mark.parametrize("lam", [LambdaKind.PHI_INV, LambdaKind.TAU, LambdaKind.HALF,
+                                 Fraction(1, 3), Fraction(3, 7), Fraction(5, 8)])
 def test_golden_evaluators_match_the_golden_scalar_loops(lam):
+    golden = lam in (LambdaKind.PHI_INV, LambdaKind.TAU)
+    # Fraction powers are slow, so a rational weight takes fewer points
+    order, draws, runs = (60, 2000, 4) if golden else (24, 200, 1)
     rng = random.Random(41)
-    points = farey_fractions(60)
-    for _ in range(2000):
+    points = farey_fractions(order)
+    for _ in range(draws):
         q = rng.randint(2, 10 ** 6)
         points.append(Fraction(rng.randint(1, q - 1), q))
     points.append(Fraction(1, 100000))
     cases = [(x, cf.cf_of(x)) for x in points]
-    for _ in range(4):
+    for _ in range(runs):
         seq = tuple(rng.randint(1, 4) for _ in range(1024))
         cases.append((cf.value_of(seq), seq))
     for x, seq in cases:
-        for got, want in ((g_mediant(lam, x), golden_mediant_reference(lam, x)),
-                          (g_finite_series(lam, seq), golden_series_reference(lam, seq))):
-            assert type(got) is GoldenScalar, (lam, x)
-            assert type(got.a) is int and type(got.b) is int, (lam, x)
-            assert (got.a, got.b) == (want.a, want.b), (lam, x)
+        for got, want in ((g_mediant(lam, x), mediant_reference(lam, x)),
+                          (g_finite_series(lam, seq), series_reference(lam, seq))):
+            if golden:
+                assert type(got) is GoldenScalar, (lam, x)
+                assert type(got.a) is int and type(got.b) is int, (lam, x)
+                assert (got.a, got.b) == (want.a, want.b), (lam, x)
+            else:
+                assert type(got) is Fraction, (lam, x)
+                assert got == want, (lam, x)
 
 
 def test_series_equals_mediant_on_farey_order_24_with_random_weights():
