@@ -16,7 +16,6 @@ import re
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import isqrt
 
 from .errors import InputError
 from .golden import GoldenScalar, _enclosure_ends
@@ -26,7 +25,9 @@ _DIGITS = 30  # significant digits of decimal_str
 _TOP = 10 ** _DIGITS  # the least integer of _DIGITS + 1 digits
 _BITS = 200  # precision of its first enclosure
 _GUARD = 150  # bits of |x| that its enclosures resolve
-_BIG_BITS = 4096  # coefficient bits beyond which _big_midpoint encloses
+# coefficient bits past which decimal_str encloses once, at bits sized by
+# _magnitude, instead of at _BITS and again near 0
+_BIG_BITS = 4096
 # int_str converts ints of more bits by divide and conquer: with CPython
 # 3.11 on a 2-core Xeon VM, str() takes 1.5 ms at 32,000 bits, as long as
 # the split does, 6 ms at 64,000 (split 3.8 ms) and 92 ms at 250,000 (18 ms)
@@ -193,32 +194,19 @@ def exact_str(value) -> str:
     return fraction_str(value)
 
 
-def _exponent(x: Fraction) -> int:
-    """e with 2^(e-1) < |x| < 2^(e+1), for x != 0."""
-    return x.numerator.bit_length() - x.denominator.bit_length()
+def _magnitude(p: int, q: int, r: int, d: int) -> int:
+    """e with 2^e < |x| < 2^(e+5) for the irrational x = (p + q sqrt(d))/r,
+    r > 0, from bit lengths, with 2^h <= sqrt(d) < 2^(h+1).
 
-
-def _abs_floor(x) -> Fraction:
-    """A lower bound on |x| for irrational x = (p + q sqrt(d))/r: its norm
-    (p^2 - q^2 d)/r^2 over |x'| < (|p| + |q| (isqrt(d) + 1))/r."""
-    p, q, r, d, _ = x._enclosure_parts()
-    return Fraction(abs(p * p - q * q * d), r * (abs(p) + abs(q) * (isqrt(d) + 1)))
-
-
-def _big_midpoint(p: int, q: int, r: int, d: int) -> tuple[int, int]:
-    """(num, den), den > 0, the midpoint of an enclosure of the irrational
-    (p + q sqrt(d))/r within 2^-151 |x|, in integers.
-
-    The enclosure is p 2^k + q sqrt(d) 2^k in [s, s+1] (s an isqrt) over
-    r 2^k, with k sized from the exact lower bound |p^2 - q^2 d| /
-    (r (|p| + |q| (isqrt(d) + 1))) on |x|; no Fraction of the operands'
-    size is ever normalised.
+    |p| + |q| sqrt(d) lies in [2^(m-1), 2^(m+2)), m = max(bits p, bits q + h).
+    That is |p + q sqrt(d)| unless p and q have opposite signs; then it is
+    the conjugate's |p - q sqrt(d)|, and |x| is the exact norm
+    |p^2 - q^2 d| over it, over r.
     """
-    conj = r * (abs(p) + abs(q) * (isqrt(d) + 1))
-    e = abs(p * p - q * q * d).bit_length() - 1 - conj.bit_length()  # |x| > 2^e
-    k = max(0, _GUARD + 1 - e - r.bit_length())
-    s = isqrt(q * q * d << 2 * k)
-    return (p << k + 1) + (2 * s + 1 if q > 0 else -2 * s - 1), r << k + 1
+    m = max(p.bit_length(), q.bit_length() + ((d.bit_length() - 1) >> 1))
+    if (p < 0) == (q < 0) or not p:
+        return m - 1 - r.bit_length()
+    return (p * p - q * q * d).bit_length() - 3 - m - r.bit_length()
 
 
 def _rounded_str(num: int, den: int) -> str:
@@ -269,25 +257,30 @@ def _midpoint(lo: Fraction, hi: Fraction) -> tuple[int, int]:
 def decimal_str(value) -> str:
     """The value correctly rounded (half-even) to 30 significant digits.
 
-    A golden or surd value x = (p + q sqrt(d))/r is rounded from the
-    midpoint of an enclosure narrower than 2^-150 |x|, so the digits are
-    those of x unless x lies that close to a rounding tie.  Its parts are
-    read once, from _enclosure_parts.  The midpoint is (lo + hi)/(2 den) of
-    the integer ends of _enclosure_ends at 200 bits, the exact rational
-    midpoint of bounds(200): no Fraction is built.  For |x| at most 2^-50
-    the enclosure is bounds(), sized from an exact lower bound on |x|.  An
-    irrational x whose p, q, r or d passes _BIG_BITS bits takes its
-    midpoint from _big_midpoint, whose work grows with those bits but never
-    normalises a Fraction of them; a rational one (q = 0) is p/r.  Every
-    route ends in _rounded_str, which rounds the two ints num/den in
-    integer arithmetic.
+    A golden or surd value x = (p + q sqrt(d))/r is rounded from a rational
+    num/den within 2^-151 |x| of x, so the digits are those of x unless x
+    lies that close to a rounding tie.  Its parts are read once, from
+    _enclosure_parts, and num/den from the integer ends of _enclosure_ends:
+    no Fraction is built.  Up to _BIG_BITS coefficient bits it is the
+    midpoint of bounds(200), and |x| <= 2^-50 takes bounds() again, at bits
+    sized from _magnitude.  Past them x is enclosed once, at those bits, or
+    its conjugate when p and q have opposite signs, so that neither the bits
+    nor the square root grow with the cancellation.  A rational x (q = 0) is
+    p/r.  Every route ends in _rounded_str, which rounds in integers.
     """
     if isinstance(value, (GoldenScalar, QuadraticSurd)):
         p, q, r, d, size = value._enclosure_parts()
         if not q:
             num, den = p, r
         elif (abs(p) | abs(q) | r | d).bit_length() > _BIG_BITS:  # the most bits
-            num, den = _big_midpoint(p, q, r, d)
+            # if x cancels, its conjugate c = (p - q sqrt(d))/r does not, and
+            # x = (p^2 - q^2 d)/(r^2 c) takes the relative error of c
+            u = -q if p and (p < 0) != (q < 0) else q
+            bits = max(0, _GUARD - _magnitude(p, u, r, d))
+            lo, hi, den = _enclosure_ends(p, u, r, d, size, bits)
+            num, den = lo + hi, den << 1
+            if u != q:  # num has the sign of c, which is that of p
+                num, den = (p * p - q * q * d) * (den if p > 0 else -den), r * r * abs(num)
         else:
             lo, hi, den = _enclosure_ends(p, q, r, d, size, _BITS)
             num, den = lo + hi, den << 1
@@ -296,7 +289,7 @@ def decimal_str(value) -> str:
                 # this route keeps value.bounds: its near-zero rows are the
                 # only farey-table call of golden.bounds, and the traced
                 # benchmark run expects that span
-                num, den = _midpoint(*value.bounds(_GUARD - _exponent(_abs_floor(value))))
+                num, den = _midpoint(*value.bounds(_GUARD - _magnitude(p, q, r, d)))
     else:
         x = value if isinstance(value, Fraction) else Fraction(value)
         num, den = x.numerator, x.denominator

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Union
 
 from . import cf
-from .cf import Orientation, PeriodicCF
+from .cf import PeriodicCF
 from .errors import CapExceededError, InputError
 from .golden import GOLDEN_ZERO, GoldenScalar, _fibonacci_pair, bits_for_width
 
@@ -260,16 +260,15 @@ def g_interval(lam: LambdaKind, x: PeriodicCF, tol: Fraction) -> CertifiedInterv
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    orientation = Orientation.PHI if lam is LambdaKind.PHI_INV else Orientation.TAU
-    offset = 1 if lam is LambdaKind.PHI_INV else 2
+    el, ec = _NAMED[lam].units  # lambda = phi^-el, 1 - lambda = phi^-ec
     threshold = tol / 2
     partial = GOLDEN_ZERO
     weighted = 0
     sign = 1
     lo_sum = hi_sum = partial
-    for i, a in enumerate(x.quotients(), start=1):
-        weighted += a * orientation.weight(i)
-        term = GoldenScalar.phi_power(offset - weighted)
+    for i, a in enumerate(x.quotients()):
+        weighted += a * (ec if i & 1 else el)
+        term = GoldenScalar.phi_power(el - weighted)
         nxt = partial + term if sign > 0 else partial - term
         lo_sum, hi_sum = (partial, nxt) if sign > 0 else (nxt, partial)
         partial = nxt

@@ -440,7 +440,7 @@ def test_deterministic_outputs(capsys):
     (["sample", "--lambda", "5/8", "--depth", "120"],
      "435e234b32bc567c3bdd244263770b316bcc962a9fcdff7f904bc18cb1454765"),
     # 2,446 quotients: the growth rate passes encode._BIG_BITS, so its
-    # decimal rounds the midpoint that _big_midpoint gives
+    # decimal rounds the one enclosure that encode._magnitude sizes
     (["classify", "--period", "c734_word(400, 1223)"],
      "a35ac09625ec98a094d8e23c38e30d35616b347ab36048800f3e38305ff773bc"),
     # odd remainders whose ordinary blocks the goldens (period 1) miss,
@@ -565,6 +565,16 @@ def _python(*args):
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("argv", [["eval", "--lambda", "half", "--x", "1/3"],
+                                  ["eval", "--lambda", "5/3", "--x", "1/3"]])
+def test_python_m_dtu_runs_main(capsys, argv):
+    # the package runs as `python -m dtu`, with main's output and exit code
+    code, out, err = run(capsys, *argv)
+    proc = _python("-m", "dtu", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == (0 if argv[2] == "half" else 1)
 
 
 def test_cli_import_leaves_numpy_out():

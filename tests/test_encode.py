@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtu import encode
+from dtu import encode, golden
 from dtu.classify import c734_word, growth_rate
 from dtu.encode import (decimal_str, fraction_str, golden_str, parse_fraction,
                         parse_golden, parse_seq, parse_surd, seq_str, surd_str)
@@ -278,8 +278,8 @@ def test_decimal_is_the_rounded_midpoint_of_bounds_200():
 
 
 def test_decimal_below_2_to_the_minus_50_on_int_coefficients():
-    # such values are rounded from an enclosure sized by encode._abs_floor,
-    # which must divide their int coefficients exactly
+    # such values are rounded from an enclosure sized by encode._magnitude,
+    # from the bit lengths of their int coefficients
     cases = [GoldenScalar.phi_power(-120), g_mediant(LambdaKind.TAU, Fraction(1, 200)),
              GoldenScalar.phi_power(-121) * -3, g_mediant(LambdaKind.PHI_INV,
                                                           Fraction(199, 200)) - 1]
@@ -287,22 +287,151 @@ def test_decimal_below_2_to_the_minus_50_on_int_coefficients():
         assert type(x.a) is int and type(x.b) is int, x
         lo, hi = x.bounds(64)
         assert -Fraction(1, 2 ** 50) < lo <= hi < Fraction(1, 2 ** 50), x
-        assert type(encode._abs_floor(x)) is Fraction, x
-        assert 0 < encode._abs_floor(x) < (x if x > 0 else -x), x
+        e = encode._magnitude(*x.surd_parts(), 5)
+        assert Fraction(2) ** e < (x if x > 0 else -x), x
         assert decimal_str(x) == _reference(x), x
     assert decimal_str(GoldenScalar.phi_power(-120)) == \
         "8.34609204456396367080443149819E-26"
 
 
+def _sign(u: int, v: int, d: int) -> int:
+    """Exact sign of u + v sqrt(d), for d >= 1 not a square."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su * sv >= 0:
+        return su or sv
+    n = u * u - v * v * d
+    return su * ((n > 0) - (n < 0))
+
+
+def _exceeds(p: int, q: int, r: int, d: int, e: int) -> bool:
+    """|(p + q sqrt(d))/r| > 2^e, exactly: s (p + q sqrt(d)) - r 2^e > 0
+    for s the sign of x, scaled by 2^-e when e < 0."""
+    s = _sign(p, q, d)
+    if e >= 0:
+        return _sign(s * p - (r << e), s * q, d) > 0
+    return _sign((s * p << -e) - r, s * q << -e, d) > 0
+
+
+def _pell_power(n: int) -> tuple[int, int]:
+    """(a, b) with (1 + sqrt2)^n = a + b sqrt2, by squaring."""
+    a, b, sa, sb = 1, 0, 1, 1
+    while n:
+        if n & 1:
+            a, b = a * sa + 2 * b * sb, a * sb + b * sa
+        sa, sb = sa * sa + 2 * sb * sb, 2 * sa * sb
+        n >>= 1
+    return a, b
+
+
+def _magnitude_cases() -> list:
+    """Seeded surds with r up to 10^40, p = 0 and both sign patterns, some
+    within a few units of cancelling; golden values with int and Fraction
+    coefficients; and values past _BIG_BITS from 2^-70,100 to 2^227,300."""
+    rng = random.Random(27)
+
+    def signed(digits: int) -> int:
+        return rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(0, digits))
+
+    cases = []
+    for _ in range(300):
+        r, q = abs(signed(40)), signed(40)
+        d = rng.choice([2, 3, 5, rng.randint(2, 10 ** 6), 7 * 10 ** 40 + 1])
+        cancel = -q // abs(q) * (isqrt(q * q * d) + rng.randint(-3, 3))
+        for p in (signed(40), 0, cancel):
+            cases.append(QuadraticSurd(p, q, r, d))
+    for _ in range(100):
+        cases += [GoldenScalar(signed(30), signed(30)),
+                  GoldenScalar(Fraction(signed(30), abs(signed(20))),
+                               Fraction(signed(30), abs(signed(20))))]
+    for k in (-101_000, -60_000, -6_500, 6_500, 100_000, 328_000):
+        for c in (1, -3, Fraction(-5, 7), Fraction(10 ** 40 + 1, 10 ** 20)):
+            cases.append(GoldenScalar.phi_power(k) * c)
+    for n in (5_000, 30_000, 55_200):
+        a, b = _pell_power(n)
+        cases += [QuadraticSurd(a, b, 1, 2), QuadraticSurd(a, -b, 3, 2),
+                  QuadraticSurd(-a, b, 10 ** 40, 2)]
+    rate = growth_rate(c734_word(800, 2513)).value
+    return cases + [rate, rate * rate, -rate]
+
+
+def _parts(x) -> tuple[int, int, int, int]:
+    return (x.p, x.q, x.r, x.d) if isinstance(x, QuadraticSurd) else (*x.surd_parts(), 5)
+
+
+def test_magnitude_brackets_the_value():
+    cases = [x for x in _magnitude_cases() if _parts(x)[1]]
+    patterns, es = set(), []
+    for x in cases:
+        p, q, r, d = _parts(x)
+        e = encode._magnitude(p, q, r, d)
+        # x is irrational, so |x| != 2^(e+5)
+        assert _exceeds(p, q, r, d, e) and not _exceeds(p, q, r, d, e + 5), x
+        patterns.add("zero" if not p else "same" if (p < 0) == (q < 0) else "opposite")
+        if _coefficient_bits(x) > encode._BIG_BITS:
+            es.append(e)
+    assert patterns == {"zero", "same", "opposite"}
+    assert min(es) < -70_000 and max(es) > 227_000
+    # each branch is tight to a bit: |x| < 2^(e+1) where every bit length
+    # is nearly full: |q| sqrt(d) about 1.45 |p| for p = 2^m - 1, d = 3,
+    # or p = 0, q = 2^(m-1), d = 5; over r = 2^40 - 1 and 10^40
+    for m in (8, 100, 5_000):
+        b = isqrt((145 * 2 ** m // 100) ** 2 // 3)
+        for r in (2 ** 40 - 1, 10 ** 40):
+            for p, q, d in ((1 - 2 ** m, b, 3), (2 ** m - 1, -b, 3), (0, 2 ** (m - 1), 5)):
+                e = encode._magnitude(p, q, r, d)
+                assert _exceeds(p, q, r, d, e) and not _exceeds(p, q, r, d, e + 1), (p, q, r)
+
+
+def test_big_decimal_takes_one_square_root_of_the_bits_it_needs(monkeypatch):
+    # past _BIG_BITS the enclosure is sized from _magnitude, of x or, near 0,
+    # of its conjugate: when that is at least 2^150 it takes one isqrt, of
+    # d 4^k for k = max(size, 0) + 2, however close to 0 x lies
+    rate = growth_rate(c734_word(800, 2513)).value
+    a, b = _pell_power(5_000)
+    near = [g_mediant(LambdaKind.PHI_INV, Fraction(1, 6500)), QuadraticSurd(a, -b, 1, 2),
+            QuadraticSurd(-a, b, 7, 2)]
+    for x in [rate, rate * rate] + near:
+        p, q, r, d, size = x._enclosure_parts()
+        assert _coefficient_bits(x) > encode._BIG_BITS
+        assert _exceeds(p, q, r, d, 150) or not _exceeds(p, q, r, d, -150)
+        calls = []
+
+        def counted(n: int) -> int:
+            calls.append(n.bit_length())
+            return isqrt(n)
+
+        for module in (golden, encode):
+            if hasattr(module, "isqrt"):
+                monkeypatch.setattr(module, "isqrt", counted)
+        monkeypatch.setattr(golden, "_root", (0, -1, 0))
+        decimal_str(x)
+        assert len(calls) == 1, calls
+        assert calls[0] <= d.bit_length() + 2 * (max(size, 0) + 2), calls
+
+
+def _abs_floor(x) -> Fraction:
+    """A lower bound on |x| for irrational x = (p + q sqrt(d))/r: its norm
+    (p^2 - q^2 d)/r^2 over |x'| < (|p| + |q| (isqrt(d) + 1))/r."""
+    p, q, r, d, _ = x._enclosure_parts()
+    return Fraction(abs(p * p - q * q * d), r * (abs(p) + abs(q) * (isqrt(d) + 1)))
+
+
+def _exponent(x: Fraction) -> int:
+    """e with 2^(e-1) < |x| < 2^(e+1), for x != 0."""
+    return x.numerator.bit_length() - x.denominator.bit_length()
+
+
 def _normalised_midpoint_decimal(value) -> str:
     """decimal_str below _BIG_BITS as it was with Fraction midpoints: the
     normalised (lo + hi)/2 of bounds(200), or of the enclosure sized by
-    _abs_floor when the midpoint's bit lengths differ by -50 or less."""
+    _abs_floor when the midpoint's bit lengths differ by -50 or less.  The
+    bound is a copy of the one decimal_str once read, so this reference
+    does not read the code it checks."""
     if isinstance(value, (GoldenScalar, QuadraticSurd)):
         lo, hi = value.bounds(200)
         approx = (lo + hi) / 2
-        if lo != hi and (not approx or encode._exponent(approx) <= -50):
-            lo, hi = value.bounds(150 - encode._exponent(encode._abs_floor(value)))
+        if lo != hi and (not approx or _exponent(approx) <= -50):
+            lo, hi = value.bounds(150 - _exponent(_abs_floor(value)))
             approx = (lo + hi) / 2
     else:
         approx = Fraction(value)
