@@ -124,7 +124,8 @@ def _contenders(cost: int, phi: bool, sign: int) -> list:
         p1s = (lo, hi) if lo < hi else (lo,)
     else:
         p1s = range(max(lo, near + (lo - near) % step), min(hi, far) + 1, step)
-        assert p1s, f"no pair of cost {cost} near the vertex"
+        if not p1s:
+            raise AssertionError(f"no pair of cost {cost} near the vertex")
     return [(p1, (cost - w1 * p1) // w2) for p1 in p1s]
 
 
@@ -387,6 +388,12 @@ def reduce_m3(seq: Sequence[int], o: Orientation) -> M3Result:
     def interior_first(positions):
         return sorted(positions, key=lambda p: (not 3 <= p <= n - 2, p))
 
+    def finish(certified: bool, shape: Optional[M3Shape]) -> M3Result:
+        out = tuple(word)
+        if cf.weighted_sum(out, o) != s:
+            raise AssertionError(f"reduce_m3 changed the weighted sum of {seq}")
+        return M3Result(out, certified, shape)
+
     word = list(seq)
     guard = 4 * s * n + 16
     for _ in range(guard):
@@ -394,9 +401,7 @@ def reduce_m3(seq: Sequence[int], o: Orientation) -> M3Result:
         heavy = frozenset(word[i - 1] for i in o_heavy)
         shape = _in_shape(light, heavy)
         if shape is not None:
-            out = tuple(word)
-            assert cf.weighted_sum(out, o) == s
-            return M3Result(out, True, shape)
+            return finish(True, shape)
         lmin, lmax = min(light), max(light)
         hmin, hmax = min(heavy), max(heavy)
         before = cf._continuant(word)
@@ -426,9 +431,7 @@ def reduce_m3(seq: Sequence[int], o: Orientation) -> M3Result:
                         if best is None or value > best[0]:
                             best = (value, cand)
         if best is None or best[0] <= before:
-            out = tuple(word)
-            assert cf.weighted_sum(out, o) == s
-            return M3Result(out, False, None)
+            return finish(False, None)
         word = best[1]
     raise RuntimeError("three-value reduction failed to terminate")
 

@@ -287,6 +287,76 @@ def test_normalize_m4_random_properties():
             assert max(vals) - min(vals) <= 1
 
 
+def reference_moves(seq, o):
+    """The words one equalizing move away from seq, each built in full: a
+    same-class pair differing by >= 2 moves dd toward each other, with dd
+    the half difference (both roundings when it is odd)."""
+    n = len(seq)
+    out = []
+    for positions in (cf.light_positions(n, o), cf.heavy_positions(n, o)):
+        for ii in positions:
+            for jj in positions:
+                if ii == jj:
+                    continue
+                hi, lo = seq[ii - 1], seq[jj - 1]
+                if hi - lo < 2:
+                    continue
+                d = (hi - lo) // 2
+                for dd in ((d,) if (hi - lo) % 2 == 0 else (d, d + 1)):
+                    word = list(seq)
+                    word[ii - 1], word[jj - 1] = hi - dd, lo + dd
+                    out.append(tuple(word))
+    return out
+
+
+def reference_path(seq, o):
+    """The steps of normalize_m4 as first written, scoring every candidate
+    by a fresh continuant: each step takes the largest continuant, ties
+    going to the lexicographically smallest word.  Yields each step's
+    candidates and its choice."""
+    seq = tuple(seq)
+    while candidates := reference_moves(seq, o):
+        seq = max(candidates, key=lambda w: (cf.continuant(w), [-x for x in w]))
+        yield candidates, seq
+
+
+def reference_normalize_m4(seq, o):
+    for _, seq in reference_path(seq, o):
+        pass
+    return tuple(seq)
+
+
+def most_ties(seq, o):
+    """The most candidates tied at the top continuant in one reference step."""
+    most = 0
+    for candidates, _ in reference_path(seq, o):
+        values = [cf.continuant(w) for w in candidates]
+        most = max(most, values.count(max(values)))
+    return most
+
+
+# words with several candidate moves tied at the top continuant in a step
+TIED_WORDS = [((6, 6, 1, 1, 1, 1, 6, 6), PHI), ((6, 6, 1, 1, 1, 1, 6, 6), TAU),
+              ((1, 3, 3, 1), PHI), ((7, 2, 2, 7), TAU), ((3, 4, 6, 2), PHI)]
+
+
+def test_tied_words_have_tied_top_moves():
+    for word, o in TIED_WORDS:
+        assert most_ties(word, o) >= 2, word
+
+
+def test_normalize_m4_picks_the_reference_word():
+    rng = random.Random(73)
+    cases = TIED_WORDS + [((5, 2, 1, 2, 5, 2), PHI), ((5, 2, 1, 2, 5, 2), TAU)]
+    for k in range(3000):
+        n = 2 * rng.randint(1, 12)
+        top = (3, 7, 14, 30)[k % 4]
+        cases.append((tuple(rng.randint(1, top) for _ in range(n)),
+                      (PHI, TAU)[k // 4 % 2]))
+    for word, o in cases:
+        assert normalize_m4(word, o) == reference_normalize_m4(word, o), (word, o)
+
+
 def test_m3_parameters():
     s = m3_parameters(Fraction(1305, 100))
     assert (s.a, s.case) == (3, M3Case.HIGH)
