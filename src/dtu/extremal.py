@@ -257,34 +257,72 @@ def min_construct(inst: ExtremalInstance) -> Quotients:
 def normalize_m4(seq: Sequence[int], o: Orientation) -> Quotients:
     """Narrow both weight classes to windows {a, a+1} by unit variations.
 
-    Steepest ascent: among all equalizing replacements of a same-class pair
-    differing by >= 2, apply the one with the largest resulting continuant
-    (preferring any increasing step when one exists); repeats until both
-    classes have spread <= 1.  Terminates because every step strictly lowers
-    the within-class sum of squares.
+    Steepest ascent: each step takes, among all equalizing moves of a
+    same-class pair differing by >= 2 (dd moves from the larger quotient
+    to the smaller, dd the half difference, both roundings when it is odd),
+    the one with the largest resulting continuant, even if that is smaller
+    than the current one; ties go to the lexicographically smallest word.
+    It repeats until both classes have spread <= 1, and terminates because
+    every step strictly lowers the within-class sum of squares.
+
+    A move is scored in O(1).  Each step builds L_x = K(a_1..a_{x-1}),
+    L'_x = K(a_2..a_{x-1}) and R_x = K(a_{x+1}..a_n) once.  The continuant
+    K is affine in each quotient, with slope C_x = L_x R_x at position x,
+    so taking dd from position i and giving it to j makes
+    K + dd (C_j - C_i) - dd^2 X, where X = L_i K(a_{i+1}..a_{j-1}) R_j for
+    i < j (and X is symmetric in i and j): the unit-variation parabola, of
+    second difference -2 <P><Q><R> (`variation.vertex`).  The prefix
+    matrices [[L_{x+1}, L_x], [L'_{x+1}, L'_x]] have determinant (-1)^x, so
+    K(a_{i+1}..a_{j-1}) = (-1)^i (L'_i L_j - L_i L'_j).  Only the moves
+    tied at the top build words.
     """
-    seq = list(cf.check_quotients(seq, allow_empty=False))
-    n = len(seq)
+    word = list(cf.check_quotients(seq, allow_empty=False))
+    n = len(word)
     classes = (cf.light_positions(n, o), cf.heavy_positions(n, o))
     while True:
-        candidates = []
+        # L, L2 (for L') and R at 1-based index x; index 0 is unused
+        L, L2, R = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+        p, q, p0, q0 = 1, 0, 0, 1  # L_1, L'_1, and the entries before them
+        for x, a in enumerate(word, 1):
+            L[x], L2[x] = p, q
+            p, p0 = a * p + p0, p
+            q, q0 = a * q + q0, q
+        s, s0 = 1, 0  # R_n, and the entry after it
+        for x in range(n, 0, -1):
+            R[x] = s
+            s, s0 = word[x - 1] * s + s0, s
+        C = [p * s for p, s in zip(L, R)]
+        best, tied = None, []
         for positions in classes:
-            for ii in positions:
-                for jj in positions:
-                    if ii == jj:
-                        continue
-                    hi, lo = seq[ii - 1], seq[jj - 1]
-                    if hi - lo < 2:
-                        continue
-                    d = (hi - lo) // 2
-                    for dd in ((d,) if (hi - lo) % 2 == 0 else (d, d + 1)):
-                        out = list(seq)
-                        out[ii - 1], out[jj - 1] = hi - dd, lo + dd
-                        candidates.append(tuple(out))
-        if not candidates:
-            return tuple(seq)
-        seq = list(max(candidates, key=lambda w: (cf._continuant(w),
-                                                   [-x for x in w])))
+            order = sorted(positions, key=lambda x: -word[x - 1])
+            for k, i in enumerate(order):
+                hi = word[i - 1]
+                for j in order[:k:-1]:  # ascending values
+                    gap = hi - word[j - 1]
+                    if gap < 2:
+                        break
+                    l, r = (i, j) if i < j else (j, i)
+                    cross = L[l] * R[r] * (L2[l] * L[r] - L[l] * L2[r])
+                    if l % 2:
+                        cross = -cross
+                    slope = C[j] - C[i]
+                    d = gap // 2
+                    for dd in ((d,) if gap % 2 == 0 else (d, d + 1)):
+                        gain = dd * (slope - dd * cross)
+                        if best is None or gain > best:
+                            best, tied = gain, [(i, j, dd)]
+                        elif gain == best:
+                            tied.append((i, j, dd))
+        if best is None:
+            return tuple(word)
+
+        def moved(i, j, dd):
+            out = list(word)
+            out[i - 1] -= dd
+            out[j - 1] += dd
+            return out
+
+        word = min(moved(*move) for move in tied)
 
 
 # -- three-value shapes ---------------------------------------------------------
@@ -344,14 +382,17 @@ def m3_parameters(per_pair: Fraction) -> M3Shape:
     return M3Shape(a, case)
 
 
-def _in_shape(light: frozenset, heavy: frozenset) -> Optional[M3Shape]:
-    for a in sorted({v for v in heavy} | {v - 1 for v in heavy}):
-        if a < 2:
-            continue
+def _in_shape(lmin: int, lmax: int, hmin: int, hmax: int) -> Optional[M3Shape]:
+    """The first shape, by a and then by case, whose windows hold every
+    light value in [lmin, lmax] and every heavy one in [hmin, hmax], or
+    None.  A heavy window {a} or {a, a+1} holds them only when
+    hmax - 1 <= a <= hmin."""
+    for a in range(max(2, hmax - 1), hmin + 1):
         for case in M3Case:
-            shape = M3Shape(a, case)
-            if light <= set(shape.light_values) and heavy <= set(shape.heavy_values):
-                return shape
+            light, heavy = _M3_OFFSETS[case]
+            if (2 * a + light[0] <= lmin and lmax <= 2 * a + light[-1]
+                    and a + heavy[0] <= hmin and hmax <= a + heavy[-1]):
+                return M3Shape(a, case)
     return None
 
 
@@ -397,13 +438,13 @@ def reduce_m3(seq: Sequence[int], o: Orientation) -> M3Result:
     word = list(seq)
     guard = 4 * s * n + 16
     for _ in range(guard):
-        light = frozenset(word[i - 1] for i in o_light)
-        heavy = frozenset(word[i - 1] for i in o_heavy)
-        shape = _in_shape(light, heavy)
+        lights = [word[i - 1] for i in o_light]
+        heavies = [word[i - 1] for i in o_heavy]
+        lmin, lmax = min(lights), max(lights)
+        hmin, hmax = min(heavies), max(heavies)
+        shape = _in_shape(lmin, lmax, hmin, hmax)
         if shape is not None:
             return finish(True, shape)
-        lmin, lmax = min(light), max(light)
-        hmin, hmax = min(heavy), max(heavy)
         before = cf._continuant(word)
         moves = []
         # lower one heavy, raise two lights

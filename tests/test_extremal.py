@@ -10,10 +10,11 @@ import pytest
 from dtu import cf
 from dtu.cf import Orientation
 from dtu.extremal import (CapExceededError, ExtremalInstance, InfeasibleError,
-                          M3Case, _block_word, _contenders,
-                          _layout_continuants, balanced_max, brute_extrema,
-                          count_words, m3_parameters, max_construct,
-                          min_construct, normalize_m4, reduce_m3)
+                          M3Case, M3Shape, _block_word, _contenders,
+                          _in_shape, _layout_continuants, balanced_max,
+                          brute_extrema, count_words, m3_parameters,
+                          max_construct, min_construct, normalize_m4,
+                          reduce_m3)
 
 PHI, TAU = Orientation.PHI, Orientation.TAU
 
@@ -316,7 +317,7 @@ def reference_path(seq, o):
     candidates and its choice."""
     seq = tuple(seq)
     while candidates := reference_moves(seq, o):
-        seq = max(candidates, key=lambda w: (cf.continuant(w), [-x for x in w]))
+        seq = max(candidates, key=lambda w: (cf._continuant(w), [-x for x in w]))
         yield candidates, seq
 
 
@@ -355,6 +356,32 @@ def test_normalize_m4_picks_the_reference_word():
                       (PHI, TAU)[k // 4 % 2]))
     for word, o in cases:
         assert normalize_m4(word, o) == reference_normalize_m4(word, o), (word, o)
+
+
+def reference_in_shape(light, heavy):
+    """_in_shape as first written, on the sets of light and heavy values:
+    every shape with a heavy value or one less as a, in order of a and then
+    of case, until one's windows hold both sets."""
+    for a in sorted({v for v in heavy} | {v - 1 for v in heavy}):
+        if a < 2:
+            continue
+        for case in M3Case:
+            shape = M3Shape(a, case)
+            if light <= set(shape.light_values) and heavy <= set(shape.heavy_values):
+                return shape
+    return None
+
+
+def test_in_shape_matches_the_set_search():
+    found = 0
+    for lmin, hmin in itertools.product(range(1, 21), repeat=2):
+        for lmax, hmax in itertools.product(range(lmin, min(lmin + 3, 20) + 1),
+                                            range(hmin, min(hmin + 3, 20) + 1)):
+            want = reference_in_shape(frozenset(range(lmin, lmax + 1)),
+                                      frozenset(range(hmin, hmax + 1)))
+            assert _in_shape(lmin, lmax, hmin, hmax) == want, (lmin, lmax, hmin, hmax)
+            found += want is not None
+    assert found == 51
 
 
 def test_m3_parameters():
