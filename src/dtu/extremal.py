@@ -291,7 +291,7 @@ def normalize_m4(seq: Sequence[int], o: Orientation) -> Quotients:
         for x in range(n, 0, -1):
             R[x] = s
             s, s0 = word[x - 1] * s + s0, s
-        C = [p * s for p, s in zip(L, R)]
+        C = [a * b for a, b in zip(L, R)]
         best, tied = None, []
         for positions in classes:
             order = sorted(positions, key=lambda x: -word[x - 1])
