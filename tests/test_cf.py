@@ -1,5 +1,6 @@
 """Continuants, convergents, quotient sequences, periodic values."""
 
+import enum
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dtu import cf
 from dtu.cf import Orientation, PeriodicCF
 from dtu.classify import c734_word
+from dtu.errors import InputError
 from dtu.surd import QuadraticSurd
 
 
@@ -61,6 +63,24 @@ def test_continuant_examples():
         cf.continuant((1, 0, 2))
     with pytest.raises(ValueError):
         cf.continuant((1, -3))
+    # the message names the first offender, wherever it stands
+    for bad in (True, 0, -1, 1.0, Fraction(1), "1"):
+        for seq in ((bad,), (2, bad, 0), (3, 1, 4, bad, -5, "x")):
+            with pytest.raises(InputError) as raised:
+                cf.check_quotients(seq)
+            assert str(raised.value) == \
+                f"partial quotients must be integers >= 1, got {bad!r}"
+    # an int subclass other than bool is a quotient, and is kept as given
+    Two = enum.IntEnum("Two", {"TWO": 2})
+    assert cf.check_quotients([1, Two.TWO]) == (1, 2)
+    assert type(cf.check_quotients((Two.TWO,))[0]) is Two
+    assert cf.continuant((1, Two.TWO, 3)) == 10
+    assert cf.check_quotients(iter((4, 1))) == (4, 1)
+    assert cf.check_quotients(()) == ()
+    assert cf.check_quotients((), allow_empty=True) == ()
+    with pytest.raises(InputError) as raised:
+        cf.check_quotients((), allow_empty=False)
+    assert str(raised.value) == "empty quotient sequence not allowed here"
 
 
 def test_quotient_matrix_entries_and_determinant():
@@ -211,6 +231,12 @@ def test_weighted_sums():
         if n % 2 == 0:
             assert cf.weighted_sum(seq, Orientation.TAU) == \
                 cf.weighted_sum(cf.reverse(seq), Orientation.PHI)
+    for n in range(42):
+        for o in Orientation:
+            assert cf.light_positions(n, o) == \
+                tuple(i for i in range(1, n + 1) if o.weight(i) == 1)
+            assert cf.heavy_positions(n, o) == \
+                tuple(i for i in range(1, n + 1) if o.weight(i) == 2)
 
 
 def test_periodic_values():

@@ -314,11 +314,12 @@ def reference_path(seq, o):
     """The steps of normalize_m4 as first written, scoring every candidate
     by a fresh continuant: each step takes the largest continuant, ties
     going to the lexicographically smallest word.  Yields each step's
-    candidates and its choice."""
+    candidates, as a dict from word to continuant, and its choice."""
     seq = tuple(seq)
     while candidates := reference_moves(seq, o):
-        seq = max(candidates, key=lambda w: (cf._continuant(w), [-x for x in w]))
-        yield candidates, seq
+        scored = {w: cf._continuant(w) for w in candidates}
+        seq = max(candidates, key=lambda w: (scored[w], [-x for x in w]))
+        yield scored, seq
 
 
 def reference_normalize_m4(seq, o):
@@ -330,8 +331,8 @@ def reference_normalize_m4(seq, o):
 def most_ties(seq, o):
     """The most candidates tied at the top continuant in one reference step."""
     most = 0
-    for candidates, _ in reference_path(seq, o):
-        values = [cf.continuant(w) for w in candidates]
+    for scored, _ in reference_path(seq, o):
+        values = list(scored.values())
         most = max(most, values.count(max(values)))
     return most
 
@@ -346,6 +347,45 @@ def test_tied_words_have_tied_top_moves():
         assert most_ties(word, o) >= 2, word
 
 
+def bound_tally(seq, o, scored):
+    """How the gain bound of normalize_m4 meets one step on seq, whose
+    candidates' continuants `scored` holds, in its scan order: each class by
+    descending value, the larger quotient i against the smaller ones j from
+    the smallest up, until the gap is below 2.  A pair is passed over when
+    dd (C_j - C_i), at its largest over the pair's dd, is at most the best
+    gain scored before it; C_x = K(a_1..a_{x-1}) K(a_{x+1}..a_n) comes from
+    the plain recurrence.  Returns the counts of pairs with C_j <= C_i, of
+    pairs passed over, and of odd-gap pairs scored only because their bound
+    takes dd = d + 1 rather than d."""
+    n, here = len(seq), cf._continuant(seq)
+    left, right = [0, 1], [0, 1]  # K of the first x - 1, and of the last x - 1
+    for a, b in zip(seq, reversed(seq)):
+        left.append(a * left[-1] + left[-2])
+        right.append(b * right[-1] + right[-2])
+    C = [None] + [left[x] * right[n - x + 1] for x in range(1, n + 1)]
+    best, tally = None, [0, 0, 0]
+    for positions in (cf.light_positions(n, o), cf.heavy_positions(n, o)):
+        order = sorted(positions, key=lambda x: -seq[x - 1])
+        for k, i in enumerate(order):
+            for j in order[:k:-1]:
+                gap = seq[i - 1] - seq[j - 1]
+                if gap < 2:
+                    break
+                slope, d = C[j] - C[i], gap // 2
+                tally[0] += slope <= 0
+                if best is not None and max(d * slope, (d + gap % 2) * slope) <= best:
+                    tally[1] += 1
+                    continue
+                tally[2] += best is not None and d * slope <= best
+                for dd in ((d,) if gap % 2 == 0 else (d, d + 1)):
+                    word = list(seq)
+                    word[i - 1] -= dd
+                    word[j - 1] += dd
+                    gain = scored[tuple(word)] - here
+                    best = gain if best is None else max(best, gain)
+    return tally
+
+
 def test_normalize_m4_picks_the_reference_word():
     rng = random.Random(73)
     cases = TIED_WORDS + [((5, 2, 1, 2, 5, 2), PHI), ((5, 2, 1, 2, 5, 2), TAU)]
@@ -354,8 +394,19 @@ def test_normalize_m4_picks_the_reference_word():
         top = (3, 7, 14, 30)[k % 4]
         cases.append((tuple(rng.randint(1, top) for _ in range(n)),
                       (PHI, TAU)[k // 4 % 2]))
+    lowering, tally = 0, [0, 0, 0]
     for word, o in cases:
-        assert normalize_m4(word, o) == reference_normalize_m4(word, o), (word, o)
+        seq = word
+        for scored, step in reference_path(word, o):
+            lowering += scored[step] < cf._continuant(seq)
+            tally = [a + b for a, b in zip(tally, bound_tally(seq, o, scored))]
+            seq = step
+        assert normalize_m4(word, o) == seq, (word, o)
+    falling, passed, odd_kept = tally
+    # every scanned pair has C_j > C_i; the set reaches steps whose best move
+    # lowers K, pairs passed over, and odd-gap pairs that only dd = d + 1
+    # keeps in the scan
+    assert falling == 0 and min(lowering, passed, odd_kept) > 0, (lowering, tally)
 
 
 def reference_in_shape(light, heavy):
@@ -640,13 +691,33 @@ def test_max_construct_examples_and_regimes():
     assert cf.weighted_sum(low.sequence, PHI) == 14
 
 
+def round_robin_max(n, s, o):
+    """max_construct's greedy word as first written: from all ones, raise
+    the heavy positions one unit at a time in turn, and put an odd unit on
+    the first light position."""
+    delta = s - 3 * n // 2
+    word = [1] * n
+    heavy = [i for i in range(1, n + 1) if o.weight(i) == 2]
+    light = [i for i in range(1, n + 1) if o.weight(i) == 1]
+    i = 0
+    while delta >= 2:
+        word[heavy[i % len(heavy)] - 1] += 1
+        delta -= 2
+        i += 1
+    if delta:
+        word[light[0] - 1] += 1
+    return tuple(word)
+
+
 def test_max_construct_below_eight_is_a_window_form():
     # the greedy word needs no narrowing: normalize_m4 leaves it unchanged
     for n in range(2, 41, 2):
         for s in range(3 * n // 2, 4 * n):  # per-pair sum 2s/n below 8
             for o in (PHI, TAU):
-                word = max_construct(ExtremalInstance(n, s, o)).sequence
-                assert normalize_m4(word, o) == word
+                built = max_construct(ExtremalInstance(n, s, o))
+                assert not built.certified
+                assert built.sequence == round_robin_max(n, s, o), (n, s, o)
+                assert normalize_m4(built.sequence, o) == built.sequence
 
 
 def test_tau_bijection():
