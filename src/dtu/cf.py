@@ -35,10 +35,20 @@ class Orientation(enum.Enum):
 
 
 def check_quotients(seq: Sequence[int], allow_empty: bool = True) -> Quotients:
-    """Validate and freeze a quotient sequence; every item must be >= 1."""
+    """Validate and freeze a quotient sequence; every item must be >= 1.
+
+    Acceptance is decided in C: a sequence of plain ints whose minimum is
+    at least 1 passes on `set(map(type, ...))` and `min`.  Only otherwise
+    are the items walked one by one, to accept an int subclass other than
+    bool or to name the first offender.
+    """
     out = tuple(seq)
-    if not allow_empty and not out:
-        raise InputError("empty quotient sequence not allowed here")
+    if not out:
+        if not allow_empty:
+            raise InputError("empty quotient sequence not allowed here")
+        return out
+    if set(map(type, out)) == {int} and min(out) >= 1:
+        return out
     for a in out:
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
             raise InputError(f"partial quotients must be integers >= 1, got {a!r}")
@@ -154,13 +164,15 @@ def _weighted_sum(seq: Quotients, o: Orientation) -> int:
 
 
 def light_positions(n: int, o: Orientation) -> tuple[int, ...]:
-    """1-based weight-1 positions of a length-n word."""
-    return tuple(i for i in range(1, n + 1) if o.weight(i) == 1)
+    """1-based weight-1 positions of a length-n word: the odd ones for PHI,
+    the even ones for TAU."""
+    return tuple(range(1 if o is Orientation.PHI else 2, n + 1, 2))
 
 
 def heavy_positions(n: int, o: Orientation) -> tuple[int, ...]:
-    """1-based weight-2 positions of a length-n word."""
-    return tuple(i for i in range(1, n + 1) if o.weight(i) == 2)
+    """1-based weight-2 positions of a length-n word: the even ones for PHI,
+    the odd ones for TAU."""
+    return tuple(range(2 if o is Orientation.PHI else 1, n + 1, 2))
 
 
 def _mechanical_word(p: int, q: int, left: tuple, right: tuple) -> tuple:

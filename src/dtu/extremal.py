@@ -167,10 +167,10 @@ def _extreme(m: int, s: int, phi: bool, sign: int) -> tuple[int, Quotients]:
     t in (0, 1) (`_pareto`).  States hold sign*(r0, r1) and the prefix, so
     one ascending sort and one sweep leave that frontier.
     """
-    # the pairs each cost offers before the last pair; with m = 1 there is
-    # no such pair, and S may run to the sum cap
+    # the pairs each cost offers, up to the largest budget a pair can have;
+    # with m = 1 the one pair spends S, which may run to the sum cap
     offer = ({c: _contenders(c, phi, sign) for c in range(3, s - 3 * m + 4)}
-             if m > 1 else {})
+             if m > 1 else {s: _contenders(s, phi, sign)})
     frontier = {s: [(sign, 0, ())]}  # remaining budget -> states
     for left in range(m - 1, 0, -1):  # pairs still to place after this one
         # each remaining budget's candidates are built and pruned in turn,
@@ -185,7 +185,7 @@ def _extreme(m: int, s: int, phi: bool, sign: int) -> tuple[int, Quotients]:
     # the last pair spends the remaining budget exactly
     value, prefix, p1, p2 = min((r0 * (p1 * p2 + 1) + r1 * p2, prefix, p1, p2)
                                 for budget, states in frontier.items()
-                                for p1, p2 in _contenders(budget, phi, sign)
+                                for p1, p2 in offer[budget]
                                 for r0, r1, prefix in states)
     return sign * value, prefix + (p1, p2)
 
@@ -275,6 +275,18 @@ def normalize_m4(seq: Sequence[int], o: Orientation) -> Quotients:
     matrices [[L_{x+1}, L_x], [L'_{x+1}, L'_x]] have determinant (-1)^x, so
     K(a_{i+1}..a_{j-1}) = (-1)^i (L'_i L_j - L_i L'_j).  Only the moves
     tied at the top build words.
+
+    Each class is scanned by descending value, the larger quotient i
+    against the smaller ones j from the smallest up, until the gap
+    a_i - a_j falls below 2.  A pair is passed over before its X is formed
+    when ceil(gap/2) (C_j - C_i) is at most the best gain found so far.
+    This is exact: X >= 1, so each of the pair's gains lies strictly below
+    dd (C_j - C_i), which is largest at dd = ceil(gap/2), and the pair can
+    neither win nor tie.  That dd gives the largest product because
+    C_j > C_i: expanding K at x gives
+    K = a_x C_x + K(a_1..a_{x-2}) R_x + L_x K(a_{x+2}..a_n), whose last two
+    terms lie in (0, 2 C_x] for n >= 2, so
+    C_i < K / a_i <= K / (a_j + 2) <= C_j.
     """
     word = list(cf.check_quotients(seq, allow_empty=False))
     n = len(word)
@@ -301,12 +313,14 @@ def normalize_m4(seq: Sequence[int], o: Orientation) -> Quotients:
                     gap = hi - word[j - 1]
                     if gap < 2:
                         break
+                    slope = C[j] - C[i]
+                    d = gap // 2
+                    if best is not None and (gap - d) * slope <= best:
+                        continue
                     l, r = (i, j) if i < j else (j, i)
                     cross = L[l] * R[r] * (L2[l] * L[r] - L[l] * L2[r])
                     if l % 2:
                         cross = -cross
-                    slope = C[j] - C[i]
-                    d = gap // 2
                     for dd in ((d,) if gap % 2 == 0 else (d, d + 1)):
                         gain = dd * (slope - dd * cross)
                         if best is None or gain > best:
@@ -423,7 +437,7 @@ def reduce_m3(seq: Sequence[int], o: Orientation) -> M3Result:
     if max(lights) - min(lights) > 1 or max(heavies) - min(heavies) > 1:
         raise ValueError("input must already have value windows of spread <= 1")
     s = cf.weighted_sum(seq, o)
-    if Fraction(2 * s, n) < 8:
+    if 2 * s < 8 * n:  # per-pair sum below 8
         return M3Result(seq, False, None)
 
     def interior_first(positions):
@@ -488,7 +502,7 @@ def _block_word(inst: ExtremalInstance) -> tuple:
     The arrangement of k rare blocks among q is the mechanical word of
     density k/q, which is its primitive word of length q/gcd(k, q) repeated;
     with no ordinary block (one pair, odd remainder) the period is 1."""
-    if inst.per_pair < 8:
+    if 2 * inst.s < 8 * inst.n:
         raise ValueError("balanced construction requires per-pair sums >= 8")
     m = inst.pairs
     shape = m3_parameters(inst.per_pair)
@@ -623,21 +637,17 @@ class MaxConstruction:
 def max_construct(inst: ExtremalInstance) -> MaxConstruction:
     """Near-maximal word: balanced blocks for per-pair >= 8 (within the proven
     constant factor of the true maximum); below that, a greedy word, flagged
-    as uncertified.  It raises the heavy positions round-robin and puts an
-    odd unit on one light position, so it is already a window form (both
-    weight classes have spread <= 1)."""
-    if inst.per_pair >= 8:
+    as uncertified.  It raises the heavy positions round-robin, so the first
+    (S - 3n/2) // 2 mod n/2 of them get one unit more than the others, and
+    puts an odd unit on the first light position, so it is already a window
+    form (both weight classes have spread <= 1)."""
+    n = inst.n
+    if 2 * inst.s >= 8 * n:  # per-pair sum >= 8
         return MaxConstruction(balanced_max(inst), True)
-    n, o = inst.n, inst.orientation
-    delta = inst.s - 3 * n // 2
+    units, odd = divmod(inst.s - 3 * n // 2, 2)
+    rise, extra = divmod(units, n // 2)
+    first = 0 if inst.orientation is Orientation.PHI else 1  # first light index
     word = [1] * n
-    heavy = cf.heavy_positions(n, o)
-    light = cf.light_positions(n, o)
-    i = 0
-    while delta >= 2:
-        word[heavy[i % len(heavy)] - 1] += 1
-        delta -= 2
-        i += 1
-    if delta:
-        word[light[0] - 1] += 1
+    word[1 - first::2] = [2 + rise] * extra + [1 + rise] * (n // 2 - extra)
+    word[first] += odd
     return MaxConstruction(_checked(tuple(word), inst), False)

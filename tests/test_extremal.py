@@ -318,7 +318,8 @@ def reference_path(seq, o):
     seq = tuple(seq)
     while candidates := reference_moves(seq, o):
         scored = {w: cf._continuant(w) for w in candidates}
-        seq = max(candidates, key=lambda w: (scored[w], [-x for x in w]))
+        top = max(scored.values())
+        seq = min(w for w, value in scored.items() if value == top)
         yield scored, seq
 
 
@@ -355,15 +356,15 @@ def bound_tally(seq, o, scored):
     dd (C_j - C_i), at its largest over the pair's dd, is at most the best
     gain scored before it; C_x = K(a_1..a_{x-1}) K(a_{x+1}..a_n) comes from
     the plain recurrence.  Returns the counts of pairs with C_j <= C_i, of
-    pairs passed over, and of odd-gap pairs scored only because their bound
-    takes dd = d + 1 rather than d."""
+    pairs passed over, and of the step's top moves that come from an
+    odd-gap pair scored only because its bound takes dd = d + 1, not d."""
     n, here = len(seq), cf._continuant(seq)
     left, right = [0, 1], [0, 1]  # K of the first x - 1, and of the last x - 1
     for a, b in zip(seq, reversed(seq)):
         left.append(a * left[-1] + left[-2])
         right.append(b * right[-1] + right[-2])
     C = [None] + [left[x] * right[n - x + 1] for x in range(1, n + 1)]
-    best, tally = None, [0, 0, 0]
+    best, tally, odd_kept = None, [0, 0, 0], []
     for positions in (cf.light_positions(n, o), cf.heavy_positions(n, o)):
         order = sorted(positions, key=lambda x: -seq[x - 1])
         for k, i in enumerate(order):
@@ -376,19 +377,24 @@ def bound_tally(seq, o, scored):
                 if best is not None and max(d * slope, (d + gap % 2) * slope) <= best:
                     tally[1] += 1
                     continue
-                tally[2] += best is not None and d * slope <= best
+                odd = best is not None and d * slope <= best
                 for dd in ((d,) if gap % 2 == 0 else (d, d + 1)):
                     word = list(seq)
                     word[i - 1] -= dd
                     word[j - 1] += dd
                     gain = scored[tuple(word)] - here
                     best = gain if best is None else max(best, gain)
+                    if odd:
+                        odd_kept.append(gain)
+    tally[2] = odd_kept.count(best)
     return tally
 
 
 def test_normalize_m4_picks_the_reference_word():
     rng = random.Random(73)
-    cases = TIED_WORDS + [((5, 2, 1, 2, 5, 2), PHI), ((5, 2, 1, 2, 5, 2), TAU)]
+    cases = TIED_WORDS + [((5, 2, 1, 2, 5, 2), PHI), ((5, 2, 1, 2, 5, 2), TAU),
+                          # a step won by dd = d + 1 of an odd gap, above d (C_j - C_i)
+                          ((2, 2, 2, 2, 2, 1, 1, 1, 2, 1, 5, 1), TAU)]
     for k in range(3000):
         n = 2 * rng.randint(1, 12)
         top = (3, 7, 14, 30)[k % 4]
@@ -402,11 +408,11 @@ def test_normalize_m4_picks_the_reference_word():
             tally = [a + b for a, b in zip(tally, bound_tally(seq, o, scored))]
             seq = step
         assert normalize_m4(word, o) == seq, (word, o)
-    falling, passed, odd_kept = tally
+    falling, passed, odd_won = tally
     # every scanned pair has C_j > C_i; the set reaches steps whose best move
-    # lowers K, pairs passed over, and odd-gap pairs that only dd = d + 1
-    # keeps in the scan
-    assert falling == 0 and min(lowering, passed, odd_kept) > 0, (lowering, tally)
+    # lowers K, pairs passed over, and a top move that a bound taking dd = d
+    # would have passed over
+    assert falling == 0 and min(lowering, passed, odd_won) > 0, (lowering, tally)
 
 
 def reference_in_shape(light, heavy):
