@@ -37,21 +37,17 @@ class Orientation(enum.Enum):
 def check_quotients(seq: Sequence[int], allow_empty: bool = True) -> Quotients:
     """Validate and freeze a quotient sequence; every item must be >= 1.
 
-    Acceptance is decided in C: a sequence of plain ints whose minimum is
-    at least 1 passes on `set(map(type, ...))` and `min`.  Only otherwise
-    are the items walked one by one, to accept an int subclass other than
-    bool or to name the first offender.
+    A plain int passes on an exact type test and one comparison.  Only an
+    item that fails them takes the full test, which accepts an int subclass
+    other than bool and otherwise names that item, the first offender.
     """
     out = tuple(seq)
-    if not out:
-        if not allow_empty:
-            raise InputError("empty quotient sequence not allowed here")
-        return out
-    if set(map(type, out)) == {int} and min(out) >= 1:
-        return out
+    if not allow_empty and not out:
+        raise InputError("empty quotient sequence not allowed here")
     for a in out:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise InputError(f"partial quotients must be integers >= 1, got {a!r}")
+        if type(a) is not int or a < 1:
+            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+                raise InputError(f"partial quotients must be integers >= 1, got {a!r}")
     return out
 
 
