@@ -48,6 +48,22 @@ def test_phi_powers_ascending_and_descending():
         assert product == GoldenScalar.phi_power(m + n)
 
 
+def test_phi_power_gives_the_lucas_numbers():
+    # L_n = 2a + b for phi^n = a + b phi: L_0 = 2, L_1 = 1, and
+    # L_(n+2) = L_(n+1) + L_n, up to 300 and at 10^5
+    def lucas(n):
+        g = GoldenScalar.phi_power(n)
+        return 2 * g.a + g.b
+
+    want = [2, 1]
+    for n in range(2, 301):
+        want.append(want[-1] + want[-2])
+    assert [lucas(n) for n in range(301)] == want
+    n = 10 ** 5
+    assert lucas(n) == lucas(n - 1) + lucas(n - 2)
+    assert lucas(n).bit_length() == 69425
+
+
 def test_phi_power_matches_repeated_multiplication():
     acc = GOLDEN_ONE
     for k in range(1, 30):

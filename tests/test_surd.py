@@ -8,6 +8,7 @@ import pytest
 
 from dtu import cf
 from dtu.cf import PeriodicCF
+from dtu.encode import exact_str
 from dtu.golden import GoldenScalar
 from dtu.surd import QuadraticSurd, compare_values
 
@@ -327,3 +328,196 @@ def test_bounds_equal_the_fraction_formula():
             lo, hi = x.bounds(bits)
             assert (lo, hi) == _fraction_bounds(x, bits), (x, bits)
             assert type(lo) is Fraction and type(hi) is Fraction, (x, bits)
+
+
+def _protocol_values():
+    """Values of both classes and rationals, with each value of several
+    classes or representations: 1, 3/2, phi, phi^-7, sqrt2, 1 + sqrt2."""
+    values = [1, Fraction(3, 2), Fraction(-7, 3), 0,
+              GoldenScalar(1), GoldenScalar(Fraction(3, 2)), GoldenScalar(0, 1),
+              GoldenScalar(Fraction(1, 2), Fraction(-3, 4)),
+              GoldenScalar.phi_power(-7),
+              QuadraticSurd(1, 0, 1, 1), QuadraticSurd(3, 0, 2, 1),
+              QuadraticSurd(1, 1, 2, 5), QuadraticSurd(101, 1, 202, 5 * 101 ** 2),
+              QuadraticSurd.from_golden(GoldenScalar.phi_power(-7)),
+              QuadraticSurd(0, 1, 1, 2 * 101 ** 2), QuadraticSurd(0, 101, 1, 2),
+              QuadraticSurd(101, 1, 101, 2 * 101 ** 2), QuadraticSurd(1, 1, 1, 2),
+              QuadraticSurd(-1, 1, 1, 3)]
+    rng = random.Random(31)
+    for _ in range(12):
+        g = GoldenScalar(Fraction(rng.randint(-20, 20), rng.randint(1, 4)),
+                         rng.randint(-5, 5))
+        values += [g, QuadraticSurd.from_golden(g), _random_surd(rng)]
+    return values
+
+
+_SIX = (("==", lambda x, y: x == y, lambda c: c == 0),
+        ("!=", lambda x, y: x != y, lambda c: c != 0),
+        ("<", lambda x, y: x < y, lambda c: c < 0),
+        ("<=", lambda x, y: x <= y, lambda c: c <= 0),
+        (">", lambda x, y: x > y, lambda c: c > 0),
+        (">=", lambda x, y: x >= y, lambda c: c >= 0))
+
+
+def _equal_pairs():
+    """The pairs of _protocol_values, at least one of them a scalar, that
+    compare equal; the six comparisons of every such pair agree with
+    compare_values, in both orders."""
+    values = _protocol_values()
+    equal = []
+    for x in values:
+        for y in values:
+            if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+                continue
+            c = compare_values(x, y)
+            for name, op, want in _SIX:
+                assert op(x, y) is want(c), (x, name, y)
+            if c == 0:
+                equal.append((x, y))
+    return equal
+
+
+def test_both_classes_share_one_protocol():
+    equal = _equal_pairs()
+    # equal values meet in every ordered pair of classes but (rational,
+    # rational), and in two radicands
+    assert len({(type(x), type(y)) for x, y in equal}) == 12
+    assert any(isinstance(x, QuadraticSurd) and isinstance(y, QuadraticSurd)
+               and x.d != y.d for x, y in equal)
+    for x in _protocol_values():
+        if isinstance(x, (int, Fraction)):
+            continue
+        assert str(x) == exact_str(x), x
+        assert x.bounds() == x.bounds(64), x
+        for bad in ("1", None, 1.0):
+            assert (x == bad) is False and (bad == x) is False, (x, bad)
+            assert (x != bad) is True and (bad != x) is True, (x, bad)
+            with pytest.raises(TypeError):
+                x < bad
+            with pytest.raises(TypeError):
+                bad < x
+
+
+def test_compare_values_takes_a_float_or_numeric_string_first():
+    from dtu.golden import PHI
+
+    for first in (1.5, "3/2"):
+        assert compare_values(first, PHI) == -1, first
+        assert compare_values(first, QuadraticSurd(1, 1, 2, 5)) == -1, first
+    assert compare_values(1.75, QuadraticSurd(0, 1, 1, 3)) == 1
+    for x in (PHI, QuadraticSurd(0, 1, 1, 2)):
+        with pytest.raises(TypeError):
+            compare_values(object(), x)
+        with pytest.raises(TypeError):
+            compare_values(x, object())
+
+
+def _over(x: QuadraticSurd, d: int) -> tuple[int, int, int]:
+    """(p, q, r) of x written over the radicand d, which equals x.d or
+    differs from it by the factor 101^2; a rational x is (p, 0, r)."""
+    if not x.q or x.d == d:
+        return x.p, x.q, x.r
+    if x.d * 101 ** 2 == d:  # sqrt(x.d) = sqrt(d)/101
+        return 101 * x.p, x.q, 101 * x.r
+    if x.d == d * 101 ** 2:  # sqrt(x.d) = 101 sqrt(d)
+        return x.p, 101 * x.q, x.r
+    raise AssertionError("no shared radicand")
+
+
+def _formula(op: str, a: QuadraticSurd, b: QuadraticSurd):
+    """(P, Q, R, D) with a op b = (P + Q sqrt(D))/R, D the first irrational
+    operand's radicand (1 for two rationals), unreduced."""
+    d = a.d if a.q else b.d
+    (p, q, r), (s, t, u) = _over(a, d), _over(b, d)
+    if op == "+":
+        return p * u + s * r, q * u + t * r, r * u, d
+    if op == "-":
+        return p * u - s * r, q * u - t * r, r * u, d
+    if op == "*":
+        return p * s + q * t * d, p * t + q * s, r * u, d
+    # (p + q sqrt d)/r * u (s - t sqrt d)/(s^2 - t^2 d)
+    return (p * s - q * t * d) * u, (q * s - p * t) * u, r * (s * s - t * t * d), d
+
+
+_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+        "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+def _fields(x: QuadraticSurd) -> tuple[int, int, int, int]:
+    return x.p, x.q, x.r, x.d
+
+
+def _operand_pairs(rng, count):
+    """Surd pairs in each case of a shared radicand: two rationals, a
+    rational and a surd in either order, one field, and radicands that
+    differ by 101^2 in either order."""
+    for i in range(count):
+        kind = i % 6
+        x = _random_surd(rng, rng.choice((2, 3, 5, 6, 13)))
+        rational = QuadraticSurd.from_fraction(
+            Fraction(rng.randint(-99, 99), rng.randint(1, 99)))
+        if kind == 0:
+            yield rational, QuadraticSurd.from_fraction(
+                Fraction(rng.randint(-99, 99), rng.randint(1, 99)))
+        elif kind == 1:
+            yield rational, x
+        elif kind == 2:
+            yield x, rational
+        elif kind == 3:
+            yield x, _random_surd(rng, x.d)
+        elif kind == 4:
+            yield x, _random_surd(rng, x.d * 101 ** 2)
+        else:
+            yield _random_surd(rng, x.d * 101 ** 2), x
+
+
+def test_surd_arithmetic_in_every_shared_radicand_case():
+    rng = random.Random(32)
+    for a, b in _operand_pairs(rng, 3000):
+        for op, apply in _OPS.items():
+            if op == "/" and not (b.p or b.q):
+                with pytest.raises(ZeroDivisionError):
+                    apply(a, b)
+                continue
+            got = apply(a, b)
+            assert _fields(got) == _fields(QuadraticSurd(*_formula(op, a, b))), (a, op, b)
+            assert _fields(got) == _fields(QuadraticSurd(*_fields(got))), (a, op, b)
+        # an int or Fraction operand is the rational surd it equals
+        c = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+        s = QuadraticSurd.from_fraction(c)
+        for op in "+-*":
+            assert _fields(_OPS[op](a, c)) == _fields(_OPS[op](a, s)), (a, op, c)
+            assert _fields(_OPS[op](c, a)) == _fields(_OPS[op](s, a)), (c, op, a)
+        if c:
+            assert _fields(a / c) == _fields(a / s), (a, c)
+    for x, y in ((QuadraticSurd(0, 1, 1, 2), QuadraticSurd(1, 1, 1, 3)),
+                 (QuadraticSurd(1, 1, 2, 5), QuadraticSurd(0, 1, 1, 5 * 103 ** 2 * 2))):
+        for op, apply in _OPS.items():
+            with pytest.raises(ValueError):
+                apply(x, y)
+            with pytest.raises(ValueError):
+                apply(y, x)
+
+
+def test_surd_division_pairs():
+    rng = random.Random(33)
+    for i in range(2000):
+        a = _random_surd(rng, rng.choice((2, 5, 7)))
+        kind = i % 4
+        if kind == 0:  # a rational divisor, also as an int or a Fraction
+            c = Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))
+            b = QuadraticSurd.from_fraction(c)
+            assert _fields(a / c) == _fields(a / b)
+        elif kind == 1:  # a zero divisor
+            for zero in (0, Fraction(0), QuadraticSurd(0, 0, 1, 1),
+                         QuadraticSurd(0, 5, 3, 0)):
+                with pytest.raises(ZeroDivisionError):
+                    a / zero
+            continue
+        else:
+            b = _random_surd(rng, a.d if kind == 2 else a.d * 101 ** 2)
+            if not (b.p or b.q):
+                continue
+        got = a / b
+        assert _fields(got) == _fields(QuadraticSurd(*_formula("/", a, b))), (a, b)
+        assert got * b == a, (a, b)
