@@ -26,7 +26,7 @@ from . import cf
 from .cf import Orientation, PeriodicCF, Quotients
 from .errors import CapExceededError, InputError
 from .geval import CertifiedInterval
-from .golden import GoldenScalar, _fibonacci_pair
+from .golden import GoldenScalar, _lucas
 from .surd import QuadraticSurd, compare_values
 
 
@@ -118,12 +118,11 @@ def _verdict_sign(trace: int, s: int) -> tuple[int, GoldenScalar, int]:
     """Sign of lambda^2 - phi^S, with phi^S and L_S, for an even period whose
     quotient matrix M has trace `trace` and weighted sum s.
 
-    The sign is that of tr(M^4) - L_2S (`_sign_terms`); L_S = 2a + b for
-    phi^S = a + b phi.
+    The sign is that of tr(M^4) - L_2S (`_sign_terms`).
     """
-    phi_s = GoldenScalar.phi_power(s)
-    lucas = int(2 * phi_s.a + phi_s.b)
-    return compare_values(*_sign_terms(trace, lucas, s)), phi_s, lucas
+    lucas = _lucas(s)
+    return (compare_values(*_sign_terms(trace, lucas, s)),
+            GoldenScalar.phi_power(s), lucas)
 
 
 def classify_verdict(x: PeriodicCF, o: Orientation = Orientation.PHI) -> Verdict:
@@ -421,8 +420,8 @@ def _node_sign(p: int, q: int, t, l) -> int:
     """Sign of lambda^2 - phi^S for the word c734_word(p, q), S =
     `_family_sum(p, q)`, from enclosures t of T = tr(M) and l of L_S.
 
-    An exact T (exponent 0) takes the integer route (`_sign_terms`, with
-    L_S from the Fibonacci numbers), which also decides Boundary.
+    An exact T (exponent 0) takes the integer route (`_sign_terms`), which
+    also decides Boundary.
     Otherwise, as x + 1/x increases for x > 1, the sign is that of
     (T^2 - 2) - (phi^S + phi^-S), and L_S = phi^S + (-phi)^-S, so
     phi^S + phi^-S lies in [L_S, L_S + 2).  With T in [t_lo 2^e, t_hi 2^e],
@@ -434,8 +433,7 @@ def _node_sign(p: int, q: int, t, l) -> int:
     t_lo, t_hi, e = t
     if not e:
         s = _family_sum(p, q)
-        fib, fib_next = _fibonacci_pair(s)
-        tr_m4, lucas_2s = _sign_terms(t_lo, 2 * fib_next - fib, s)
+        tr_m4, lucas_2s = _sign_terms(t_lo, _lucas(s), s)
         return (tr_m4 > lucas_2s) - (tr_m4 < lucas_2s)
     l_lo, l_hi, f = l
     if _compare_scaled(max(t_lo * t_lo - 1, 0), 2 * e, l_hi, f) >= 0:
@@ -446,11 +444,9 @@ def _node_sign(p: int, q: int, t, l) -> int:
 
 
 def _exact_node(p: int, q: int, word):
-    """The node of the word c734_word(p, q), from the word, exactly:
-    L_S = F(S-1) + F(S+1) in Fibonacci numbers."""
+    """The node of the word c734_word(p, q), from the word, exactly."""
     m = cf._quotient_matrix(word)
-    fib, fib_next = _fibonacci_pair(_family_sum(p, q))
-    t, l = m[0] + m[3], 2 * fib_next - fib
+    t, l = m[0] + m[3], _lucas(_family_sum(p, q))
     return p, q, (t, t, 0), (l, l, 0)
 
 

@@ -609,13 +609,11 @@ def balanced_max(inst: ExtremalInstance) -> Quotients:
     blocks among the q = m - 1 ordinary ones.
     """
     blocks, special, period = _block_word(inst)
-    top, tied = 0, []
-    for i, values in enumerate(_layout_continuants(blocks, special, period)):
-        for shift, value in enumerate(values):
-            if value > top:
-                top, tied = value, [(i, shift)]
-            elif value == top:
-                tied.append((i, shift))
+    scores = _layout_continuants(blocks, special, period)
+    tops = list(map(max, scores))
+    top = max(tops)
+    tied = [(i, shift) for i, values in enumerate(scores) if tops[i] == top
+            for shift, value in enumerate(values) if value == top]
 
     def layout(i, shift):
         lst = blocks if special is None else blocks[:i] + (special,) + blocks[i:]

@@ -1,7 +1,12 @@
-"""Exact arithmetic in the golden field Q(phi), phi = (1+sqrt5)/2, phi^2 = phi + 1."""
+"""Exact arithmetic in the golden field Q(phi), phi = (1+sqrt5)/2, phi^2 = phi + 1,
+and `_exact_scalar`, which gives GoldenScalar and surd.QuadraticSurd their
+shared methods: immutability, the rich comparisons, a hash that equal values
+of either class share, bounds and str.
+"""
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Union
@@ -18,6 +23,12 @@ def _fibonacci_pair(n: int) -> tuple[int, int]:
         if bit == "1":
             f, g = g, f + g
     return f, g
+
+
+def _lucas(n: int) -> int:
+    """The Lucas number L_n = 2a + b for phi^n = a + b phi, n >= 0."""
+    f, g = _fibonacci_pair(n)
+    return 2 * g - f
 
 
 def _sign(u, v, d: int) -> int:
@@ -73,13 +84,6 @@ def _enclosure_ends(p: int, q: int, r: int, d: int, size: int,
     return lo, hi, r << k
 
 
-def _enclosure(p: int, q: int, r: int, d: int, size: int,
-               bits: int) -> tuple[Fraction, Fraction]:
-    """The ends of _enclosure_ends as Fractions, one per end."""
-    lo, hi, den = _enclosure_ends(p, q, r, d, size, bits)
-    return Fraction(lo, den), Fraction(hi, den)
-
-
 def _exact(x) -> RationalLike:
     """x as an int when it is integral, else as a Fraction."""
     if not isinstance(x, Fraction):
@@ -93,6 +97,54 @@ def bits_for_width(width: Fraction) -> int:
     return max(0, (m - 1).bit_length() - 1)  # 2^(bits+1) >= m
 
 
+def _exact_scalar(cls):
+    """Install in cls the methods that both exact scalar classes share.
+
+    cls gives _cmp(other), the sign of self - other or NotImplemented, and
+    _enclosure_parts(), its value (p + q sqrt(d))/r, r > 0, with a size for
+    _enclosure_ends.  The methods go in cls's own __dict__, as
+    functools.total_ordering puts them, not in a base class:
+    bench/dtubench/tracing.py reads each traced method from there.
+    """
+    message = f"{cls.__name__} is immutable"
+
+    def refuse(self, *args):
+        raise AttributeError(message)
+
+    def comparison(test):
+        def compare(self, other):
+            c = self._cmp(other)
+            return NotImplemented if c is NotImplemented else test(c, 0)
+        return compare
+
+    def __hash__(self):
+        """Equal values hash alike, in either class and over any radicand:
+        a rational as its Fraction, an irrational from p/r and q |q| d/r^2,
+        which a square factor moved between q and d leaves unchanged."""
+        p, q, r, d, _ = self._enclosure_parts()
+        if not q:
+            return hash(Fraction(p, r))
+        return hash((Fraction(p, r), Fraction(q * abs(q) * d, r * r)))
+
+    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
+        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1):
+        the ends of _enclosure_ends as Fractions."""
+        lo, hi, den = _enclosure_ends(*self._enclosure_parts(), bits)
+        return Fraction(lo, den), Fraction(hi, den)
+
+    def __str__(self):
+        from .encode import exact_str
+
+        return exact_str(self)
+
+    cls.__setattr__ = cls.__delattr__ = refuse
+    for name in ("eq", "lt", "le", "gt", "ge"):
+        setattr(cls, f"__{name}__", comparison(getattr(operator, name)))
+    cls.__hash__, cls.bounds, cls.__str__ = __hash__, bounds, __str__
+    return cls
+
+
+@_exact_scalar
 class GoldenScalar:
     """An exact element a + b*phi of Q(sqrt5), with a, b rational.
 
@@ -109,12 +161,6 @@ class GoldenScalar:
     def __init__(self, a: RationalLike, b: RationalLike = 0):
         _set_a(self, a if type(a) is int else _exact(a))
         _set_b(self, b if type(b) is int else _exact(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GoldenScalar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GoldenScalar is immutable")
 
     # -- construction -----------------------------------------------------
 
@@ -201,29 +247,6 @@ class GoldenScalar:
             return NotImplemented
         return (self - other).sign()
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
     # -- numeric views -----------------------------------------------------
 
     def surd_parts(self) -> tuple[int, int, int]:
@@ -248,18 +271,8 @@ class GoldenScalar:
         size = abs(b.numerator).bit_length() - (2 * b.denominator).bit_length()
         return (*self.surd_parts(), 5, size)
 
-    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1):
-        the ends of _enclosure_ends as Fractions."""
-        return _enclosure(*self._enclosure_parts(), bits)
-
     def __repr__(self):
         return f"GoldenScalar({self.a!r}, {self.b!r})"
-
-    def __str__(self):
-        from .encode import golden_str
-
-        return golden_str(self)
 
 
 # the slots' own setters, which __init__ calls as __setattr__ refuses

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .golden import GoldenScalar, _enclosure, _sign
+from .golden import GoldenScalar, _exact_scalar, _sign
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -39,6 +39,7 @@ def _extract_square(d: int) -> tuple[int, int]:
     return f, d
 
 
+@_exact_scalar
 class QuadraticSurd:
     """Exact value (p + q*sqrt(d))/r with integer p, q, r and d >= 1.
 
@@ -73,12 +74,6 @@ class QuadraticSurd:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "d", d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticSurd is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("QuadraticSurd is immutable")
-
     # -- construction -----------------------------------------------------
 
     @classmethod
@@ -104,15 +99,13 @@ class QuadraticSurd:
         return None
 
     def _common(self, other: "QuadraticSurd"):
-        """Components of both operands over a shared radicand: (a, b, d) or None."""
-        if self.q == 0 and other.q == 0:
-            return self, other, 1
-        if self.q == 0:
+        """Components of both operands over a shared radicand: (a, b, d) or
+        None.  A rational's canonical d is 1, so it takes the other's d, and
+        radicands whose product is a square rewrite other over self.d."""
+        if self.d == other.d or other.d == 1:
+            return self, other, self.d
+        if self.d == 1:
             return self, other, other.d
-        if other.q == 0:
-            return self, other, self.d
-        if self.d == other.d:
-            return self, other, self.d
         prod = self.d * other.d
         if _is_square(prod):
             # sqrt(other.d) = (k/d) sqrt(d) with k = sqrt(d * other.d)
@@ -131,8 +124,7 @@ class QuadraticSurd:
         merged = self._common(other)
         if merged is None:
             raise ValueError("operands lie in different quadratic fields")
-        a, b, d = merged
-        return op(a, b, d)
+        return op(*merged)
 
     def __add__(self, other):
         return self._binop(other, lambda a, b, d: QuadraticSurd(
@@ -161,9 +153,10 @@ class QuadraticSurd:
             norm = b.p * b.p - b.q * b.q * d
             if norm == 0:
                 raise ZeroDivisionError
-            # 1/((p + q sqrt d)/r) = r (p - q sqrt d) / (p^2 - q^2 d)
-            inv = QuadraticSurd(b.p * b.r, -b.q * b.r, norm, d)
-            return a * inv
+            # (p + q sqrt d)/r over (s + t sqrt d)/u is
+            # (p + q sqrt d) u (s - t sqrt d) / (r (s^2 - t^2 d))
+            return QuadraticSurd((a.p * b.p - a.q * b.q * d) * b.r,
+                                 (a.q * b.p - a.p * b.q) * b.r, a.r * norm, d)
         return self._binop(other, div)
 
     # -- exact comparison ----------------------------------------------------
@@ -172,11 +165,6 @@ class QuadraticSurd:
         """(p, q, r, d, size) of golden._enclosure_ends, sized by q/r."""
         return (self.p, self.q, self.r, self.d,
                 abs(self.q).bit_length() - self.r.bit_length())
-
-    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """A rational enclosure [lo, hi] of the real value, width < 2^-(bits+1):
-        the ends of golden._enclosure_ends as Fractions."""
-        return _enclosure(*self._enclosure_parts(), bits)
 
     def algebraically_equal(self, other) -> bool:
         """Exact equality by coefficient comparison, without interval work."""
@@ -225,48 +213,17 @@ class QuadraticSurd:
         except TypeError:
             return NotImplemented
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.r, self.d))
-
     def __repr__(self):
         return f"QuadraticSurd({self.p}, {self.q}, {self.r}, {self.d})"
-
-    def __str__(self):
-        from .encode import surd_str
-
-        return surd_str(self)
 
 
 Comparable = Union[QuadraticSurd, GoldenScalar, Fraction, int]
 
 
 def compare_values(u: Comparable, v: Comparable) -> int:
-    """Exact three-way comparison across surds, golden scalars and rationals."""
+    """Exact three-way comparison across surds, golden scalars and rationals;
+    a first operand of no such type, a float or a numeric string, is read
+    as a Fraction."""
     if isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction)):
         return (u > v) - (u < v)  # two rationals compare as they are
-    if not isinstance(u, QuadraticSurd):
-        if isinstance(u, GoldenScalar):
-            u = QuadraticSurd.from_golden(u)
-        else:
-            u = QuadraticSurd.from_fraction(u)
-    return u.compare(v)
+    return (QuadraticSurd._coerce(u) or QuadraticSurd.from_fraction(u)).compare(v)

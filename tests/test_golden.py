@@ -50,9 +50,10 @@ def test_phi_powers_ascending_and_descending():
 
 def test_phi_power_gives_the_lucas_numbers():
     # L_n = 2a + b for phi^n = a + b phi: L_0 = 2, L_1 = 1, and
-    # L_(n+2) = L_(n+1) + L_n, up to 300 and at 10^5
+    # L_(n+2) = L_(n+1) + L_n, up to 300 and at 10^5; golden._lucas too
     def lucas(n):
         g = GoldenScalar.phi_power(n)
+        assert golden._lucas(n) == 2 * g.a + g.b, n
         return 2 * g.a + g.b
 
     want = [2, 1]

@@ -384,6 +384,8 @@ def test_both_classes_share_one_protocol():
     assert len({(type(x), type(y)) for x, y in equal}) == 12
     assert any(isinstance(x, QuadraticSurd) and isinstance(y, QuadraticSurd)
                and x.d != y.d for x, y in equal)
+    for x, y in equal:
+        assert hash(x) == hash(y), (x, y)
     for x in _protocol_values():
         if isinstance(x, (int, Fraction)):
             continue
@@ -396,6 +398,22 @@ def test_both_classes_share_one_protocol():
                 x < bad
             with pytest.raises(TypeError):
                 bad < x
+
+
+def test_equal_values_hash_alike_and_unequal_ones_apart():
+    from dtu.golden import PHI
+
+    assert len({1, GoldenScalar(1), QuadraticSurd(1, 0, 1, 1)}) == 1
+    assert hash(PHI) == hash(QuadraticSurd.from_golden(PHI))
+    assert len({QuadraticSurd(0, 1, 1, 2 * 101 ** 2), QuadraticSurd(0, 101, 1, 2)}) == 1
+    # values that differ in one of p, q, r, d only
+    for values in ([QuadraticSurd(1, q, 3, 2) for q in range(-5, 6)],
+                   [QuadraticSurd(p, 2, 3, 2) for p in range(-5, 6)],
+                   [QuadraticSurd(1, 2, r, 2) for r in range(1, 12, 2)],
+                   [QuadraticSurd(1, 2, 3, d) for d in (2, 3, 5, 6, 7, 10, 11)],
+                   [GoldenScalar(1, b) for b in range(-5, 6)],
+                   [GoldenScalar(a, 1) for a in range(-5, 6)]):
+        assert len({hash(x) for x in values}) == len(values), values
 
 
 def test_compare_values_takes_a_float_or_numeric_string_first():
@@ -520,4 +538,4 @@ def test_surd_division_pairs():
                 continue
         got = a / b
         assert _fields(got) == _fields(QuadraticSurd(*_formula("/", a, b))), (a, b)
-        assert got * b == a, (a, b)
+        assert got * b == a and hash(got * b) == hash(a), (a, b)
