@@ -226,4 +226,5 @@ def compare_values(u: Comparable, v: Comparable) -> int:
     as a Fraction."""
     if isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction)):
         return (u > v) - (u < v)  # two rationals compare as they are
-    return (QuadraticSurd._coerce(u) or QuadraticSurd.from_fraction(u)).compare(v)
+    x = QuadraticSurd._coerce(u)
+    return (QuadraticSurd.from_fraction(u) if x is None else x).compare(v)
